@@ -16,13 +16,11 @@ from .dataset import (
     encode,
     fit_encoding,
     fit_normalize,
-    k_folds,
     map_label,
     parse_kdd,
-    stratified_subsample,
 )
 from .evaluation import ConfusionCounts, CvReport, MetricsReport, cross_validate, macro_report
-from .optimizer import GoaConfig, GoaResult, run, run_continuous
+from .optimizer import GoaConfig, GoaResult, run
 from .selection import FitnessBreakdown, WrapperObjective, mask_fitness, project_features
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "encode",
     "fit_encoding",
     "fit_normalize",
-    "k_folds",
     "macro_report",
     "map_label",
     "mask_fitness",
@@ -56,8 +53,6 @@ __all__ = [
     "predict",
     "project_features",
     "run",
-    "run_continuous",
-    "stratified_subsample",
     "train_binary",
     "train_ova",
 ]

@@ -9,7 +9,6 @@ The per-sample inner loop runs in the compiled kernel when available.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -120,16 +119,6 @@ def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperp
     return Hyperplane(best[1], best[2])
 
 
-def decision(plane: Hyperplane, x: np.ndarray) -> float:
-    """w.x - b for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != plane.w.shape:
-        raise TrainingError(
-            f"dimension mismatch: x has {x.shape}, plane expects {plane.w.shape}"
-        )
-    return float(np.dot(plane.w, x) - plane.b)
-
-
 def margin(plane: Hyperplane) -> float:
     """Separation width 2/|w|."""
     norm = float(np.linalg.norm(plane.w))
@@ -181,36 +170,3 @@ def predict(model: SvmModel, x: np.ndarray) -> int | np.ndarray:
     values = decision_values(model, x)
     labels = np.argmax(values, axis=1).astype(np.int64)
     return int(labels[0]) if single else labels
-
-
-# --- serialization ------------------------------------------------------------
-
-_FORMAT = "swarmids-svm"
-_FORMAT_VERSION = 1
-
-
-def model_to_json(model: SvmModel) -> str:
-    """Versioned JSON artifact; float repr round-trips bit-exactly."""
-    payload = {
-        "format": _FORMAT,
-        "format_version": _FORMAT_VERSION,
-        "class_names": list(model.class_names),
-        "mask": "".join("1" if bit else "0" for bit in model.mask),
-        "planes": [
-            None if p is None else {"w": p.w.tolist(), "b": p.b}
-            for p in model.planes
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def model_from_json(text: str) -> SvmModel:
-    payload = json.loads(text)
-    if payload.get("format") != _FORMAT or payload.get("format_version") != _FORMAT_VERSION:
-        raise TrainingError("unrecognized model artifact format")
-    planes = tuple(
-        None if p is None else Hyperplane(np.array(p["w"], dtype=np.float64), p["b"])
-        for p in payload["planes"]
-    )
-    mask = np.array([ch == "1" for ch in payload["mask"]], dtype=bool)
-    return SvmModel(tuple(payload["class_names"]), planes, mask)

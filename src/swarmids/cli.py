@@ -28,7 +28,6 @@ from .classifier import SvmConfig
 from .dataset import (
     CLASS_NAMES,
     FEATURE_NAMES,
-    Dataset,
     apply_normalize,
     class_histogram,
     encode,
@@ -42,7 +41,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, SwarmidsError
 from .evaluation import METRIC_NAMES, cross_validate, report_to_json
-from .optimizer import GoaConfig, history_csv, run
+from .optimizer import GoaConfig, history_csv, mask_to_bitstring, run
 from .seeds import derive_seed
 from .selection import WrapperObjective
 from .svg import bar_chart, line_chart
@@ -73,6 +72,11 @@ class RunConfig:
     fitness_epochs: int = 5
     threads: int = 0                # 0 = number of processors
     plots: bool = True
+
+    def __post_init__(self):
+        for name in ("subsample", "threads"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
 
     def goa_config(self, seed: int, dim: int = len(FEATURE_NAMES)) -> GoaConfig:
         return GoaConfig(
@@ -113,12 +117,10 @@ def _coerce(name: str, kind: type, raw: str):
 
 
 def config_from_text(text: str) -> RunConfig:
-    """Parse a flat key=value config; unknown keys are hard errors."""
-    known = {f.name: f.type for f in fields(RunConfig)}
-    kinds = {"data": str, "out": str, "plots": bool}
-    for f in fields(RunConfig):
-        if f.name not in kinds:
-            kinds[f.name] = type(getattr(RunConfig(), f.name))
+    """Parse a flat key=value config; unknown keys are hard errors. Each
+    value takes the type of its field's default."""
+    defaults = RunConfig()
+    known = {f.name for f in fields(RunConfig)}
     values = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -130,8 +132,8 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigError(f"config line is not key=value: {raw!r}")
         if key not in known:
             raise ConfigError(f"unknown config key: {key!r}")
-        values[key] = _coerce(key, kinds[key], value.strip())
-    return replace(RunConfig(), **values)
+        values[key] = _coerce(key, type(getattr(defaults, key)), value.strip())
+    return replace(defaults, **values)
 
 
 def config_digest(config: RunConfig) -> str:
@@ -164,9 +166,7 @@ def _write(path: Path, content: str) -> None:
 
 
 def _threads(config: RunConfig) -> int:
-    if config.threads > 0:
-        return config.threads
-    return os.cpu_count() or 1
+    return config.threads or os.cpu_count() or 1
 
 
 def _load_records(path: str):
@@ -275,7 +275,7 @@ def cmd_select(config: RunConfig) -> int:
         goa = config.goa_config(seed=derive_seed(stage_seed, "goa"), dim=dataset.n_features)
         result = run(objective, goa)
         breakdown = objective.breakdown(result.best_mask)
-    mask_bits = "".join("1" if b else "0" for b in result.best_mask)
+    mask_bits = mask_to_bitstring(result.best_mask)
     selected = [FEATURE_NAMES[i] for i in np.flatnonzero(result.best_mask)]
     mask_lines = [
         f"mask={mask_bits}",
@@ -395,15 +395,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_FLAG_DESTS = {
-    "data": "--data", "out": "--out", "seed": "--seed", "folds": "--folds",
-    "subsample": "--subsample", "pop": "--pop", "iters": "--iters",
-    "delta_stop": "--delta-stop", "c_max": "--c-max", "c_min": "--c-min",
-    "s_f": "--s-f", "s_l": "--s-l", "swap_prob": "--swap-prob",
-    "rev_prob": "--rev-prob", "svm_c": "--svm-c", "epochs": "--epochs",
-    "step_offset": "--step-offset", "fitness_epochs": "--fitness-epochs",
-    "threads": "--threads",
-}
+# One --flag-name per RunConfig field; plots is switched off by --no-plots.
+_FLAG_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name != "plots")
 
 
 def build_parser() -> _Parser:
@@ -414,10 +407,10 @@ def build_parser() -> _Parser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", default=None, help="key=value config file")
-        for field_name, flag in _FLAG_DESTS.items():
+        for field_name in _FLAG_FIELDS:
             default = getattr(defaults, field_name)
             p.add_argument(
-                flag,
+                "--" + field_name.replace("_", "-"),
                 dest=field_name,
                 type=type(default),
                 default=None,
@@ -439,7 +432,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         config = RunConfig()
     overrides = {
         name: getattr(args, name)
-        for name in _FLAG_DESTS
+        for name in _FLAG_FIELDS
         if getattr(args, name) is not None
     }
     if args.no_plots:

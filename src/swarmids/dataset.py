@@ -74,13 +74,6 @@ class EncodingTable:
     columns: Mapping[int, Mapping[str, int]]
     fitted_on: str = "unspecified"
 
-    def decode(self, column: int, code: int) -> str:
-        """Inverse lookup for a seen code."""
-        for value, c in self.columns[column].items():
-            if c == code:
-                return value
-        raise DataError(f"code {code} not present in column {column}")
-
 
 def _freeze_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.float64)
@@ -227,6 +220,13 @@ def encode(records: Sequence[RawRecord], table: EncodingTable) -> Dataset:
                     f"non-numeric value {raw[bad]!r} in numeric column "
                     f"{col} ({FEATURE_NAMES[col]}), record {bad}"
                 ) from None
+    finite = np.isfinite(rows)
+    if not finite.all():
+        record, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise DataError(
+            f"non-finite value {records[record].features[col]!r} in numeric column "
+            f"{col} ({FEATURE_NAMES[col]}), record {record}"
+        )
     labels = np.fromiter((map_label(r.label) for r in records), dtype=np.int64, count=n)
     return Dataset(rows, labels)
 
@@ -275,11 +275,6 @@ def stratified_sample_indices(labels: np.ndarray, n: int, seed: int) -> np.ndarr
     return np.sort(np.concatenate(picks).astype(np.int64))
 
 
-def stratified_subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
-    """Stratified subsample of an encoded dataset."""
-    return dataset.take(stratified_sample_indices(dataset.labels, n, seed))
-
-
 def stratified_fold_indices(
     labels: np.ndarray, k: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -316,11 +311,6 @@ def stratified_fold_indices(
     return folds
 
 
-def k_folds(dataset: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stratified folds over a dataset; pairs of index views (no copying)."""
-    return stratified_fold_indices(dataset.labels, k, seed)
-
-
 def class_histogram(labels: np.ndarray, class_names: Sequence[str] = CLASS_NAMES) -> dict[str, int]:
     """Row count per class name, including absent classes."""
     labels = np.asarray(labels)
@@ -349,32 +339,6 @@ def encoding_to_text(table: EncodingTable, header: Mapping[str, str] | None = No
     return "\n".join(lines) + "\n"
 
 
-def encoding_from_text(text: str) -> EncodingTable:
-    """Parse the key=value encoding artifact back into a table."""
-    fitted_on = "unspecified"
-    columns: dict[int, dict[str, int]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        if key == "fitted_on":
-            fitted_on = value
-        elif key.startswith("column."):
-            parts = key[len("column."):].split(".", 2)
-            if len(parts) == 3 and parts[1] == "code":
-                columns.setdefault(int(parts[0]), {})[parts[2]] = int(value)
-            elif len(parts) != 2 or parts[1] != "name":
-                raise DataError(f"unrecognized encoding artifact line: {raw!r}")
-        else:
-            raise DataError(f"unrecognized encoding artifact line: {raw!r}")
-    ordered = {
-        col: dict(sorted(mapping.items(), key=lambda kv: kv[1]))
-        for col, mapping in sorted(columns.items())
-    }
-    return EncodingTable(columns=ordered, fitted_on=fitted_on)
-
-
 def norm_stats_to_text(stats: NormStats, header: Mapping[str, str] | None = None) -> str:
     """Serialize normalization stats; float repr round-trips exactly."""
     lines = _header_lines(header)
@@ -383,26 +347,3 @@ def norm_stats_to_text(stats: NormStats, header: Mapping[str, str] | None = None
         lines.append(f"feature.{i}.min={float(lo)!r}")
         lines.append(f"feature.{i}.max={float(hi)!r}")
     return "\n".join(lines) + "\n"
-
-
-def norm_stats_from_text(text: str) -> NormStats:
-    mins: dict[int, float] = {}
-    maxs: dict[int, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        if not key.startswith("feature."):
-            raise DataError(f"unrecognized stats artifact line: {raw!r}")
-        _, idx_str, kind = key.split(".", 2)
-        if kind == "min":
-            mins[int(idx_str)] = float(value)
-        elif kind == "max":
-            maxs[int(idx_str)] = float(value)
-    if sorted(mins) != sorted(maxs):
-        raise DataError("stats artifact has mismatched min/max entries")
-    order = sorted(mins)
-    return NormStats(
-        np.array([mins[i] for i in order]), np.array([maxs[i] for i in order])
-    )

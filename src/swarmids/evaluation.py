@@ -1,5 +1,5 @@
-"""Confusion accounting, one-vs-rest rates with macro averaging, and
-k-fold cross-validation of the full select-then-classify pipeline.
+"""Per-class metrics with macro averaging, and k-fold cross-validation of
+the full select-then-classify pipeline.
 
 TNR is computed as TN/(TN+FP) so that fpr + tnr = 1 holds exactly; the
 serialized reports carry a note recording this definition.
@@ -16,6 +16,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .classifier import SvmConfig, predict, train_ova
+from .confusion import (
+    ConfusionCounts,
+    accuracy,
+    binary_attack_confusion,
+    confusion_per_class,
+    fnr,
+    fpr,
+    tnr,
+    tpr,
+)
 from .dataset import (
     CLASS_NAMES,
     RawRecord,
@@ -29,57 +39,11 @@ from .dataset import (
 from .errors import DataError
 from .optimizer import GoaConfig, mask_to_bitstring, run
 from .seeds import derive_seed
+from .selection import WrapperObjective, project_features
 
 METRIC_NAMES = ("tpr", "fpr", "tnr", "fnr", "accuracy")
 
 TNR_NOTE = "tnr computed as tn/(tn+fp) so that fpr + tnr = 1"
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """One-vs-rest tallies for a single positive class."""
-
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fn, self.fp, self.tn) < 0:
-            raise DataError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fn + self.fp + self.tn
-
-
-def tpr(c: ConfusionCounts) -> float:
-    d = c.tp + c.fn
-    return c.tp / d if d else 0.0
-
-
-def fpr(c: ConfusionCounts) -> float:
-    d = c.fp + c.tn
-    return c.fp / d if d else 0.0
-
-
-def tnr(c: ConfusionCounts) -> float:
-    d = c.tn + c.fp
-    return c.tn / d if d else 0.0
-
-
-def fnr(c: ConfusionCounts) -> float:
-    d = c.fn + c.tp
-    return c.fn / d if d else 0.0
-
-
-def accuracy(c: ConfusionCounts) -> float:
-    return (c.tp + c.tn) / c.total if c.total else 0.0
-
-
-_METRIC_FNS: dict[str, Callable[[ConfusionCounts], float]] = {
-    "tpr": tpr, "fpr": fpr, "tnr": tnr, "fnr": fnr, "accuracy": accuracy,
-}
 
 
 def _degenerate_metrics(c: ConfusionCounts) -> tuple[str, ...]:
@@ -91,24 +55,6 @@ def _degenerate_metrics(c: ConfusionCounts) -> tuple[str, ...]:
     if c.total == 0:
         out.append("accuracy")
     return tuple(out)
-
-
-def confusion_per_class(
-    truth: Sequence[int], predicted: Sequence[int], target: int
-) -> ConfusionCounts:
-    """One-vs-rest counts treating ``target`` as the positive class."""
-    truth = np.asarray(truth)
-    predicted = np.asarray(predicted)
-    if truth.shape != predicted.shape or truth.size == 0:
-        raise DataError("truth and prediction lists must be equal-length and non-empty")
-    pos_truth = truth == target
-    pos_pred = predicted == target
-    return ConfusionCounts(
-        tp=int(np.sum(pos_truth & pos_pred)),
-        fn=int(np.sum(pos_truth & ~pos_pred)),
-        fp=int(np.sum(~pos_truth & pos_pred)),
-        tn=int(np.sum(~pos_truth & ~pos_pred)),
-    )
 
 
 @dataclass(frozen=True)
@@ -206,6 +152,10 @@ def macro_report(
     )
 
 
+def _attack_dict(c: ConfusionCounts) -> dict:
+    return {"tp": c.tp, "fn": c.fn, "fp": c.fp, "tn": c.tn, "tpr": tpr(c), "fpr": fpr(c)}
+
+
 @dataclass(frozen=True)
 class FoldReport:
     index: int
@@ -231,12 +181,7 @@ class FoldReport:
             "goa_best_fitness": self.goa_best_fitness,
             "goa_stop_reason": self.goa_stop_reason,
             "metrics": self.metrics.to_dict(),
-            "attack_vs_normal": {
-                "tp": self.attack_confusion.tp, "fn": self.attack_confusion.fn,
-                "fp": self.attack_confusion.fp, "tn": self.attack_confusion.tn,
-                "tpr": tpr(self.attack_confusion),
-                "fpr": fpr(self.attack_confusion),
-            },
+            "attack_vs_normal": _attack_dict(self.attack_confusion),
         }
         if include_timing:
             out["seconds"] = self.seconds
@@ -264,12 +209,7 @@ class CvReport:
             "macro_mean": dict(self.macro_mean),
             "macro_std": dict(self.macro_std),
             "weighted_mean": dict(self.weighted_mean),
-            "attack_vs_normal_overall": {
-                "tp": self.attack_overall.tp, "fn": self.attack_overall.fn,
-                "fp": self.attack_overall.fp, "tn": self.attack_overall.tn,
-                "tpr": tpr(self.attack_overall),
-                "fpr": fpr(self.attack_overall),
-            },
+            "attack_vs_normal_overall": _attack_dict(self.attack_overall),
             "notes": list(self.notes),
         }
 
@@ -298,9 +238,6 @@ def _run_fold(
     fitness_epochs: int,
     audit: AuditHook | None,
 ) -> FoldReport:
-    # Imported here: selection depends on this module for ConfusionCounts.
-    from .selection import WrapperObjective, binary_attack_confusion, project_features
-
     started = time.perf_counter()
     fold_seed = derive_seed(seed, "fold", fold)
     train_records = [records[int(i)] for i in train_idx]

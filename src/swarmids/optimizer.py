@@ -1,11 +1,10 @@
-"""Grasshopper-style swarm optimization over a bounded box, with a binary
-adapter for feature masks.
+"""Binary grasshopper-style swarm optimization over feature masks.
 
-Each agent's next position is a socially weighted sum of pairwise
-interactions plus attraction to the best position found so far, under a
-linearly decaying coefficient. Binary mode thresholds positions at 0.5
-and applies SWAP / span-reversal diversity operators; equal-fitness
-incumbent updates let the swarm drift across plateaus.
+Each agent's next position in the unit box is a socially weighted sum of
+pairwise interactions plus attraction to the best position found so far,
+under a linearly decaying coefficient. Positions are thresholded at 0.5
+into masks, and SWAP / span-reversal diversity operators mutate them;
+equal-fitness incumbent updates let the swarm drift across plateaus.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import ConfigError, ObjectiveError
 
 @dataclass(frozen=True)
 class GoaConfig:
-    """Swarm parameters. Bounds may be scalars or per-dimension arrays."""
+    """Swarm parameters. Positions live in the unit box [0, 1]^dim."""
 
     population_size: int = 30
     dim: int = 41
@@ -32,8 +31,6 @@ class GoaConfig:
     s_l: float = 1.5
     swap_prob: float = 0.2
     reversion_prob: float = 1.0
-    lower: float | Sequence[float] = 0.0
-    upper: float | Sequence[float] = 1.0
     seed: int = 0
 
     def validate(self) -> None:
@@ -49,14 +46,6 @@ class GoaConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        lb, ub = self.bounds()
-        if not np.all(lb < ub):
-            raise ConfigError("lower bound must be strictly below upper bound")
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lb = np.broadcast_to(np.asarray(self.lower, dtype=np.float64), (self.dim,)).copy()
-        ub = np.broadcast_to(np.asarray(self.upper, dtype=np.float64), (self.dim,)).copy()
-        return lb, ub
 
 
 @dataclass
@@ -82,12 +71,12 @@ class IterationRecord(NamedTuple):
     iteration: int
     c: float
     best_fitness: float
-    best_popcount: int | None
+    best_popcount: int
 
 
 @dataclass(frozen=True)
 class GoaResult:
-    best_mask: np.ndarray | None
+    best_mask: np.ndarray
     best_position: np.ndarray
     best_fitness: float
     history: tuple[IterationRecord, ...]
@@ -96,12 +85,6 @@ class GoaResult:
 
 def mask_to_bitstring(mask: np.ndarray) -> str:
     return "".join("1" if bit else "0" for bit in np.asarray(mask, dtype=bool))
-
-
-def bitstring_to_mask(bits: str) -> np.ndarray:
-    if set(bits) - {"0", "1"}:
-        raise ConfigError(f"mask bitstring must contain only 0/1: {bits!r}")
-    return np.array([ch == "1" for ch in bits], dtype=bool)
 
 
 def s_social(r, f: float = 0.5, l: float = 1.5):
@@ -163,11 +146,10 @@ def reversion_mutation(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 
 def init_swarm(config: GoaConfig, rng: np.random.Generator | None = None) -> Swarm:
-    """Uniform random positions in bounds; masks binarized; fitness unset."""
+    """Uniform random positions in the unit box; masks binarized; fitness unset."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    lb, ub = config.bounds()
-    positions = rng.uniform(lb, ub, (config.population_size, config.dim))
+    positions = rng.uniform(0.0, 1.0, (config.population_size, config.dim))
     masks = np.stack([binarize(p, rng) for p in positions])
     fitness = np.full(config.population_size, np.nan)
     return Swarm(positions=positions, masks=masks, fitness=fitness, c=config.c_max)
@@ -185,18 +167,18 @@ def social_step(
         x_i <- c * sum_j c * (ub-lb)/2 * s(|x_j - x_i|) * (x_j - x_i)/d_ij
                + best
 
-    with pairs closer than ``eps`` skipped, then clamped to bounds.
+    with (ub-lb)/2 = 0.5 in the unit box and pairs closer than ``eps``
+    skipped, then clamped to the box.
     """
-    lb, ub = config.bounds()
     diff = positions[None, :, :] - positions[:, None, :]  # diff[i, j] = x_j - x_i
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     keep = dist >= eps
     np.fill_diagonal(keep, False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = ((ub - lb) / 2.0) * s_social(dist, config.s_f, config.s_l)[:, :, None] * diff / dist[:, :, None]
+        terms = 0.5 * s_social(dist, config.s_f, config.s_l)[:, :, None] * diff / dist[:, :, None]
     terms[~keep] = 0.0
     moved = c * (c * terms.sum(axis=1)) + best_position[None, :]
-    return np.clip(moved, lb, ub)
+    return np.clip(moved, 0.0, 1.0)
 
 
 def update_positions(
@@ -228,14 +210,14 @@ def update_positions(
     return swarm
 
 
-def _evaluate(objective: Callable, argument: np.ndarray, mask_bits: str | None) -> float:
-    try:
-        return float(objective(argument))
-    except Exception as exc:  # noqa: BLE001 - re-raised with context
-        raise ObjectiveError(mask_bits if mask_bits is not None else "<continuous>", exc) from exc
+def run(objective: Callable[[np.ndarray], float], config: GoaConfig) -> GoaResult:
+    """Maximize ``objective(mask)`` over non-empty binary masks.
 
-
-def _run(objective: Callable, config: GoaConfig, binary: bool) -> GoaResult:
+    Stops at ``max_iterations`` or when the best fitness improves by less
+    than ``fitness_delta_stop`` between consecutive iterations (checked
+    once two iterations exist). History records one row per iteration and
+    is monotone non-decreasing in best fitness.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
     swarm = init_swarm(config, rng)
@@ -246,23 +228,23 @@ def _run(objective: Callable, config: GoaConfig, binary: bool) -> GoaResult:
         swarm.iteration = t
         swarm.c = update_c(t - 1, config)
         for i in range(swarm.size):
-            if binary:
-                mask = swarm.masks[i]
-                value = _evaluate(objective, mask.copy(), mask_to_bitstring(mask))
-            else:
-                value = _evaluate(objective, swarm.positions[i].copy(), None)
+            mask = swarm.masks[i]
+            try:
+                value = float(objective(mask.copy()))
+            except Exception as exc:  # noqa: BLE001 - re-raised with context
+                raise ObjectiveError(mask_to_bitstring(mask), exc) from exc
             swarm.fitness[i] = value
             # >= lets the incumbent drift across equal-fitness plateaus.
             if value >= swarm.best_fitness:
                 swarm.best_fitness = value
                 swarm.best_position = swarm.positions[i].copy()
-                swarm.best_mask = swarm.masks[i].copy() if binary else None
+                swarm.best_mask = mask.copy()
         history.append(
             IterationRecord(
                 iteration=t,
                 c=swarm.c,
                 best_fitness=swarm.best_fitness,
-                best_popcount=int(swarm.best_mask.sum()) if binary else None,
+                best_popcount=int(swarm.best_mask.sum()),
             )
         )
         if len(history) >= 2 and (
@@ -272,12 +254,9 @@ def _run(objective: Callable, config: GoaConfig, binary: bool) -> GoaResult:
             break
         if t >= config.max_iterations:
             break
-        if binary:
-            update_positions(swarm, swarm.c, config, rng)
-        else:
-            swarm.positions = social_step(swarm.positions, swarm.best_position, swarm.c, config)
+        update_positions(swarm, swarm.c, config, rng)
     return GoaResult(
-        best_mask=swarm.best_mask if binary else None,
+        best_mask=swarm.best_mask,
         best_position=swarm.best_position,
         best_fitness=swarm.best_fitness,
         history=tuple(history),
@@ -285,27 +264,9 @@ def _run(objective: Callable, config: GoaConfig, binary: bool) -> GoaResult:
     )
 
 
-def run(objective: Callable[[np.ndarray], float], config: GoaConfig) -> GoaResult:
-    """Maximize ``objective(mask)`` over non-empty binary masks.
-
-    Stops at ``max_iterations`` or when the best fitness improves by less
-    than ``fitness_delta_stop`` between consecutive iterations (checked
-    once two iterations exist). History records one row per iteration and
-    is monotone non-decreasing in best fitness.
-    """
-    return _run(objective, config, binary=True)
-
-
-def run_continuous(objective: Callable[[np.ndarray], float], config: GoaConfig) -> GoaResult:
-    """Maximize ``objective(position)`` over the continuous box; no
-    binarization and no mutation operators."""
-    return _run(objective, config, binary=False)
-
-
 def history_csv(history: Sequence[IterationRecord]) -> str:
     """Render history rows as CSV (iteration, c, best_fitness, best_popcount)."""
     lines = ["iteration,c,best_fitness,best_popcount"]
     for rec in history:
-        pop = "" if rec.best_popcount is None else str(rec.best_popcount)
-        lines.append(f"{rec.iteration},{float(rec.c)!r},{float(rec.best_fitness)!r},{pop}")
+        lines.append(f"{rec.iteration},{float(rec.c)!r},{float(rec.best_fitness)!r},{rec.best_popcount}")
     return "\n".join(lines) + "\n"

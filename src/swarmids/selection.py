@@ -18,13 +18,11 @@ from typing import Callable, IO
 import numpy as np
 
 from .classifier import SvmConfig, SvmModel, predict, train_ova
+from .confusion import ConfusionCounts, binary_attack_confusion, tpr
 from .dataset import Dataset, stratified_sample_indices
 from .errors import DataError
-from .evaluation import ConfusionCounts
 from .optimizer import mask_to_bitstring
 from .seeds import derive_seed
-
-NORMAL_INDEX = 0
 
 
 @dataclass(frozen=True)
@@ -56,31 +54,11 @@ def project_features(dataset: Dataset, mask: np.ndarray) -> Dataset:
     return Dataset(dataset.rows[:, mask], dataset.labels, dataset.class_names)
 
 
-def rate_tp(counts: ConfusionCounts) -> float:
-    """TP / (TP + FN); 0 when no positives exist (degenerate case)."""
-    denominator = counts.tp + counts.fn
-    return counts.tp / denominator if denominator else 0.0
-
-
 def error_rate(counts: ConfusionCounts) -> float:
     """(FP + FN) / total."""
     if counts.total == 0:
         raise DataError("error rate undefined for an empty confusion table")
     return (counts.fp + counts.fn) / counts.total
-
-
-def binary_attack_confusion(
-    truth: np.ndarray, predicted: np.ndarray, normal_index: int = NORMAL_INDEX
-) -> ConfusionCounts:
-    """Pool all attack classes as positive, Normal as negative."""
-    truth_attack = np.asarray(truth) != normal_index
-    pred_attack = np.asarray(predicted) != normal_index
-    return ConfusionCounts(
-        tp=int(np.sum(truth_attack & pred_attack)),
-        fn=int(np.sum(truth_attack & ~pred_attack)),
-        fp=int(np.sum(~truth_attack & pred_attack)),
-        tn=int(np.sum(~truth_attack & ~pred_attack)),
-    )
 
 
 def mask_fitness(
@@ -100,7 +78,7 @@ def mask_fitness(
     predictions = predict(model, project_features(val_ds, mask).rows)
     counts = binary_attack_confusion(val_ds.labels, predictions)
     degenerate = (counts.tp + counts.fn) == 0
-    r_tp = rate_tp(counts)
+    r_tp = tpr(counts)
     r_e = error_rate(counts)
     n_f = int(mask.sum())
     return FitnessBreakdown(
@@ -112,12 +90,10 @@ def mask_fitness(
     )
 
 
-def fitness_split(
-    labels: np.ndarray, seed: int, fit_fraction: float = 0.8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed stratified fit/validation split used for every mask in a run."""
+def fitness_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed stratified 80/20 fit/validation split used for every mask in a run."""
     labels = np.asarray(labels)
-    n_fit = max(1, min(labels.shape[0] - 1, round(labels.shape[0] * fit_fraction)))
+    n_fit = max(1, min(labels.shape[0] - 1, round(labels.shape[0] * 0.8)))
     fit_idx = stratified_sample_indices(labels, n_fit, seed)
     val_idx = np.setdiff1d(np.arange(labels.shape[0], dtype=np.int64), fit_idx, assume_unique=True)
     return fit_idx, val_idx
@@ -143,12 +119,10 @@ class WrapperObjective:
         run_seed: int,
         svm_config: SvmConfig,
         fitness_epochs: int = 5,
-        fit_fraction: float = 0.8,
         trace: IO[str] | None = None,
-        use_cache: bool = True,
     ):
         self.fit_idx, self.val_idx = fitness_split(
-            train_ds.labels, derive_seed(run_seed, "fitness-split"), fit_fraction
+            train_ds.labels, derive_seed(run_seed, "fitness-split")
         )
         self.fit_ds = train_ds.take(self.fit_idx)
         self.val_ds = train_ds.take(self.val_idx)
@@ -156,19 +130,18 @@ class WrapperObjective:
         self.svm_config = replace(svm_config, epochs=fitness_epochs)
         self.trace = trace
         self.evaluations = 0
-        self._cache: dict[str, FitnessBreakdown] | None = {} if use_cache else None
+        self._cache: dict[str, FitnessBreakdown] = {}
         if trace is not None:
             trace.write(self.TRACE_HEADER)
 
     def breakdown(self, mask: np.ndarray) -> FitnessBreakdown:
         bits = mask_to_bitstring(mask)
-        result = self._cache.get(bits) if self._cache is not None else None
+        result = self._cache.get(bits)
         if result is None:
             config = replace(self.svm_config, seed=derive_seed(self.run_seed, "mask", bits))
             result = mask_fitness(mask, self.fit_ds, self.val_ds, config)
             self.evaluations += 1
-            if self._cache is not None:
-                self._cache[bits] = result
+            self._cache[bits] = result
         if self.trace is not None:
             self.trace.write(
                 f"{bits},{result.r_tp!r},{result.r_e!r},{result.n_f},{result.fitness!r}\n"

@@ -1,4 +1,4 @@
-"""Linear SVM training, decision geometry, one-vs-all, and serialization."""
+"""Linear SVM training, decision geometry, and one-vs-all."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,9 @@ from swarmids.classifier import (
     Hyperplane,
     SvmConfig,
     SvmModel,
-    decision,
     decision_values,
     hinge_objective,
     margin,
-    model_from_json,
-    model_to_json,
     predict,
     train_binary,
     train_ova,
@@ -97,6 +94,12 @@ class TestTrainBinary:
             SvmConfig(c=0.0).validate()
         with pytest.raises(ConfigError):
             SvmConfig(epochs=0).validate()
+
+
+def decision(plane, x):
+    """w.x - b of one plane for one vector, through ``decision_values``."""
+    model = SvmModel(("pos",), (plane,), np.ones(plane.w.shape[0], dtype=bool))
+    return float(decision_values(model, x)[0, 0])
 
 
 class TestDecisionGeometry:
@@ -231,26 +234,3 @@ class TestPredict:
         model = self._fixed_model([0.0, 1.0, 2.0, 3.0, 4.0])
         with pytest.raises(TrainingError):
             predict(model, np.zeros(5))
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        ds = _five_class_dataset(seed=8)
-        keep = ds.labels != 4
-        model = train_ova(
-            Dataset(ds.rows[keep], ds.labels[keep], ds.class_names),
-            SvmConfig(epochs=7, seed=11),
-        )
-        back = model_from_json(model_to_json(model))
-        assert back.class_names == model.class_names
-        assert np.array_equal(back.mask, model.mask)
-        for original, restored in zip(model.planes, back.planes):
-            if original is None:
-                assert restored is None
-            else:
-                assert np.array_equal(original.w, restored.w)
-                assert original.b == restored.b
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(TrainingError):
-            model_from_json('{"format": "other", "format_version": 1}')

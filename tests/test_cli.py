@@ -54,6 +54,13 @@ class TestConfigFile:
         b = config_digest(RunConfig(seed=2))
         assert a != b
 
+    @pytest.mark.parametrize("field", ["subsample", "threads"])
+    def test_negative_count_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: -1})
+        with pytest.raises(ConfigError, match=field):
+            config_from_text(f"{field}=-3\n")
+
 
 class TestPrepare:
     def test_artifacts_and_summary(self, synth_file, tmp_path, run_cli, capsys):
@@ -202,3 +209,18 @@ class TestExitCodes:
 
     def test_missing_config_file_exits_1(self, run_cli):
         assert run_cli(["prepare", "--config", "/nonexistent.cfg"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--subsample", "--threads"])
+    def test_negative_count_flag_exits_1(self, synth_file, tmp_path, run_cli, capsys, flag):
+        out = tmp_path / "run"
+        assert run_cli(["prepare", "--data", str(synth_file), "--out", str(out), flag, "-5"]) == 1
+        assert "must not be negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["subsample", "threads"])
+    def test_negative_count_in_config_file_exits_1(self, synth_file, tmp_path, run_cli, key):
+        out = tmp_path / "run"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"data={synth_file}\nout={out}\n{key}=-5\n")
+        assert run_cli(["prepare", "--config", str(cfg)]) == 1
+        assert not out.exists()

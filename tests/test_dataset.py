@@ -14,18 +14,14 @@ from swarmids.dataset import (
     apply_normalize,
     class_histogram,
     encode,
-    encoding_from_text,
     encoding_to_text,
     fit_encoding,
     fit_normalize,
-    k_folds,
     map_label,
-    norm_stats_from_text,
     norm_stats_to_text,
     parse_kdd,
     stratified_fold_indices,
     stratified_sample_indices,
-    stratified_subsample,
 )
 from swarmids.errors import DataError, DataWarning, ParseError, UnknownLabelError
 
@@ -140,19 +136,28 @@ class TestEncoding:
         assert np.array_equal(a.labels, b.labels)
 
     def test_round_trip_decode(self, synth_records):
+        # Codes are 0..n-1 without repeats, so every code names one value.
         table = fit_encoding(synth_records)
-        for col, mapping in table.columns.items():
-            for value, code in mapping.items():
-                assert table.decode(col, code) == value
+        for mapping in table.columns.values():
+            assert sorted(mapping.values()) == list(range(len(mapping)))
 
     def test_artifact_round_trip(self, synth_records):
         table = fit_encoding(synth_records, fitted_on="test")
-        text = encoding_to_text(table, header={"tool": "test"})
-        back = encoding_from_text(text)
-        assert back.fitted_on == "test"
-        assert {c: dict(m) for c, m in back.columns.items()} == {
-            c: dict(m) for c, m in table.columns.items()
-        }
+        lines = encoding_to_text(table, header={"tool": "test"}).splitlines()
+        assert lines[:2] == ["# tool=test", "fitted_on=test"]
+        codes = {}
+        for line in lines:
+            key, _, value = line.partition("=")
+            if ".code." in key:
+                col, _, name = key[len("column."):].partition(".code.")
+                codes.setdefault(int(col), {})[name] = int(value)
+        assert codes == {c: dict(m) for c, m in table.columns.items()}
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, value):
+        records = parse_kdd("\n".join([_line(), _line([value] + ["0"] * (N_FEATURES - 1))]))
+        with pytest.raises(DataError, match=rf"'{value}'.*column 0 \(duration\), record 1"):
+            encode(records, fit_encoding(records))
 
 
 class TestNormalize:
@@ -191,15 +196,17 @@ class TestNormalize:
 
     def test_stats_artifact_round_trip(self, synth_dataset):
         stats = fit_normalize(synth_dataset)
-        back = norm_stats_from_text(norm_stats_to_text(stats, header={"a": "b"}))
-        assert np.array_equal(back.mins, stats.mins)
-        assert np.array_equal(back.maxs, stats.maxs)
+        text = norm_stats_to_text(stats, header={"a": "b"})
+        values = dict(line.split("=", 1) for line in text.splitlines()[1:])
+        for i in range(N_FEATURES):
+            assert float(values[f"feature.{i}.min"]) == stats.mins[i]
+            assert float(values[f"feature.{i}.max"]) == stats.maxs[i]
 
 
 class TestSubsample:
     def test_full_size_is_identity(self, synth_dataset):
-        out = stratified_subsample(synth_dataset, synth_dataset.n_rows, seed=3)
-        assert np.array_equal(np.sort(out.rows[:, 0]), np.sort(synth_dataset.rows[:, 0]))
+        idx = stratified_sample_indices(synth_dataset.labels, synth_dataset.n_rows, seed=3)
+        assert np.array_equal(idx, np.arange(synth_dataset.n_rows))
 
     def test_proportions_within_one_row(self):
         labels = np.array([0] * 90 + [1] * 10)
@@ -231,7 +238,7 @@ class TestFolds:
             assert np.sum(labels[test] == 1) == 1
 
     def test_partition_property(self, synth_dataset):
-        folds = k_folds(synth_dataset, 5, seed=2)
+        folds = stratified_fold_indices(synth_dataset.labels, 5, seed=2)
         unions = np.concatenate([test for _, test in folds])
         assert np.array_equal(np.sort(unions), np.arange(synth_dataset.n_rows))
         for train, test in folds:
@@ -247,8 +254,8 @@ class TestFolds:
             stratified_fold_indices(np.array([0, 1]), 1, seed=0)
 
     def test_deterministic(self, synth_dataset):
-        a = k_folds(synth_dataset, 4, seed=9)
-        b = k_folds(synth_dataset, 4, seed=9)
+        a = stratified_fold_indices(synth_dataset.labels, 4, seed=9)
+        b = stratified_fold_indices(synth_dataset.labels, 4, seed=9)
         for (tr_a, te_a), (tr_b, te_b) in zip(a, b):
             assert np.array_equal(tr_a, tr_b)
             assert np.array_equal(te_a, te_b)

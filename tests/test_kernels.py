@@ -12,12 +12,20 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from swarmids import classifier
 from swarmids._kernels import available_backends
+from swarmids.dataset import parse_kdd
+from swarmids.errors import DataWarning
+from swarmids.evaluation import cross_validate, report_to_json
+from swarmids.optimizer import GoaConfig
+
+from _synth import make_kdd_csv
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -180,3 +188,24 @@ def test_compiled_rejects_bad_buffers(backends, bad):
     args.update(bad)
     with pytest.raises(ValueError):
         backends["cython"](args["x"], args["y"], args["order"], args["w"], 0.0, 1.0, 1.0, 0)
+
+
+def test_compiled_kernel_on_fold_threads(backends, monkeypatch):
+    # The compiled kernel releases the GIL, so evaluate's fold pool runs it
+    # concurrently; the report must not depend on backend or thread count.
+    if "cython" not in backends:
+        pytest.skip("compiled backend not built")
+    records = parse_kdd(make_kdd_csv(400, seed=7))
+    reports = []
+    for epoch in (backends["python"], backends["cython"]):
+        monkeypatch.setattr(classifier, "hinge_epoch", epoch)
+        for threads in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DataWarning)
+                report = cross_validate(
+                    records, k=3, goa_config=GoaConfig(population_size=6, max_iterations=3),
+                    svm_config=classifier.SvmConfig(epochs=5), seed=3,
+                    fitness_epochs=2, threads=threads,
+                )
+            reports.append(report_to_json(report))
+    assert len(reports) == 4 and len(set(reports)) == 1

@@ -9,18 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmids.classifier import Hyperplane, SvmConfig, SvmModel
+from swarmids.confusion import ConfusionCounts, binary_attack_confusion, tpr
 from swarmids.dataset import Dataset
 from swarmids.errors import DataError
-from swarmids.evaluation import ConfusionCounts
 from swarmids.selection import (
     WrapperObjective,
-    binary_attack_confusion,
     error_rate,
     fitness_split,
     fitness_value,
     mask_fitness,
     project_features,
-    rate_tp,
 )
 
 
@@ -65,10 +63,11 @@ class TestProjection:
 
 class TestRates:
     def test_rate_tp_examples(self):
-        assert rate_tp(ConfusionCounts(tp=90, fn=10, fp=0, tn=0)) == 0.9
-        assert rate_tp(ConfusionCounts(tp=5, fn=0, fp=0, tn=0)) == 1.0
-        assert rate_tp(ConfusionCounts(tp=0, fn=5, fp=0, tn=0)) == 0.0
-        assert rate_tp(ConfusionCounts(tp=0, fn=0, fp=3, tn=3)) == 0.0
+        # r_tp in the fitness is the attack-pooled tpr.
+        assert tpr(ConfusionCounts(tp=90, fn=10, fp=0, tn=0)) == 0.9
+        assert tpr(ConfusionCounts(tp=5, fn=0, fp=0, tn=0)) == 1.0
+        assert tpr(ConfusionCounts(tp=0, fn=5, fp=0, tn=0)) == 0.0
+        assert tpr(ConfusionCounts(tp=0, fn=0, fp=3, tn=3)) == 0.0
 
     def test_error_rate_examples(self):
         assert error_rate(ConfusionCounts(tp=10, fn=0, fp=0, tn=10)) == 0.0
@@ -87,12 +86,15 @@ class TestRates:
     def test_rates_match_brute_force_recount(self, tp, fn, fp, tn):
         truth = [1] * (tp + fn) + [0] * (fp + tn)
         pred = [1] * tp + [0] * fn + [1] * fp + [0] * tn
+        if not truth:
+            with pytest.raises(DataError):  # nothing scored is an error, not all zeros
+                binary_attack_confusion(np.array(truth), np.array(pred))
+            return
         counts = binary_attack_confusion(np.array(truth), np.array(pred))
         assert (counts.tp, counts.fn, counts.fp, counts.tn) == (tp, fn, fp, tn)
         if tp + fn:
-            assert rate_tp(counts) == tp / (tp + fn)
-        if counts.total:
-            assert error_rate(counts) == (fp + fn) / (tp + fn + fp + tn)
+            assert tpr(counts) == tp / (tp + fn)
+        assert error_rate(counts) == (fp + fn) / (tp + fn + fp + tn)
 
 
 class TestFitnessFormula:
