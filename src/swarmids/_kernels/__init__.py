@@ -1,7 +1,9 @@
 """Backend selection for the hot SGD kernel.
 
-The compiled C extension (``_hinge_sgd.c``) is preferred; a pure-Python
-twin with identical numerics is used when the extension is unavailable.
+Each backend exports ``hinge_epoch`` (one plane) and ``hinge_epoch_batch``
+(several planes over the same rows, one call per epoch). The compiled C
+extension (``_hinge_sgd.c``) is preferred; a pure-Python twin with
+identical numerics is used when the extension is unavailable.
 The compiled backend keeps its historical name ``cython`` (it is what
 ``SWARMIDS_KERNEL`` accepts and what ``evaluate_timing.json`` records),
 although it is a hand-written CPython extension built without Cython. Set
@@ -33,6 +35,7 @@ else:
         BACKEND = "python"
 
 hinge_epoch = _impl.hinge_epoch
+hinge_epoch_batch = _impl.hinge_epoch_batch
 
 
 def available_backends() -> dict:

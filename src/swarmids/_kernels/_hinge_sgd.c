@@ -1,4 +1,4 @@
-/* Compiled hot loop: one shuffled pass of hinge-loss subgradient descent.
+/* Compiled hot loop: shuffled passes of hinge-loss subgradient descent.
  *
  * Must remain operation-for-operation identical to the pure-Python twin in
  * _hinge_sgd_py.py so that both backends produce bit-identical models (the
@@ -7,49 +7,81 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <string.h>
 
-/* Acquire a C-contiguous buffer of `ndim` dimensions holding 8-byte items:
- * doubles for kind 'd', signed integers for kind 'i' (int64 has format 'l'
- * on LP64 platforms and 'q' elsewhere). */
+struct arg {
+    const char *name;
+    int ndim;
+    char kind;  /* 'd' float64, 'i' int64, 'b' bool */
+    int writable;
+};
+
+/* Acquire a C-contiguous buffer of the argument's dimension and kind: 8-byte
+ * doubles, 8-byte signed integers (int64 has format 'l' on LP64 platforms
+ * and 'q' elsewhere) or 1-byte bools. */
 static int
-get_buffer(PyObject *obj, Py_buffer *view, const char *name, int ndim,
-           char kind, int writable)
+get_buffer(PyObject *obj, Py_buffer *view, const struct arg *a)
 {
-    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (a->writable ? PyBUF_WRITABLE : 0);
     if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
     const char *f = view->format[0] == '@' ? view->format + 1 : view->format;
-    int type_ok = kind == 'd' ? f[0] == 'd' : (f[0] == 'l' || f[0] == 'q');
-    if (view->ndim != ndim || view->itemsize != 8 || !type_ok || f[1] != '\0') {
+    int type_ok = a->kind == 'd' ? f[0] == 'd'
+                : a->kind == 'b' ? f[0] == '?'
+                : (f[0] == 'l' || f[0] == 'q');
+    if (view->ndim != a->ndim || view->itemsize != (a->kind == 'b' ? 1 : 8) || !type_ok
+        || f[1] != '\0') {
         PyErr_Format(PyExc_ValueError, "%s must be a %d-d %s array, got format '%s' with ndim %d",
-                     name, ndim, kind == 'd' ? "float64" : "int64", view->format, view->ndim);
+                     a->name, a->ndim,
+                     a->kind == 'd' ? "float64" : a->kind == 'b' ? "bool" : "int64",
+                     view->format, view->ndim);
         PyBuffer_Release(view);
         return -1;
     }
     return 0;
 }
 
-static PyObject *
-run_epoch(Py_buffer *v, double b, double lam, double t0, long long t)
+/* Acquire every buffer or none; 0 on success, -1 with an exception set. */
+static int
+get_buffers(PyObject **objs, Py_buffer *views, const struct arg *args, int count)
 {
-    const double *x = v[0].buf, *y = v[1].buf;
-    const long long *order = v[2].buf;
-    double *w = v[3].buf;
-    Py_ssize_t rows = v[0].shape[0], cols = v[0].shape[1];
-    Py_ssize_t n = v[2].shape[0], d = v[3].shape[0];
+    for (int i = 0; i < count; i++) {
+        if (get_buffer(objs[i], &views[i], &args[i]) < 0) {
+            while (i > 0)
+                PyBuffer_Release(&views[--i]);
+            return -1;
+        }
+    }
+    return 0;
+}
 
-    if (v[1].shape[0] != rows)
-        return PyErr_Format(PyExc_ValueError, "y has %zd entries but x has %zd rows", v[1].shape[0], rows);
-    if (d > cols)
-        return PyErr_Format(PyExc_ValueError, "w has %zd entries but rows of x have %zd", d, cols);
-    /* Checked in one pass before w changes; the unsigned compare catches negatives. */
+static void
+release_buffers(Py_buffer *views, int count)
+{
+    while (count > 0)
+        PyBuffer_Release(&views[--count]);
+}
+
+/* Checked in one pass; the unsigned compare catches negatives. */
+static int
+order_in_range(const long long *order, Py_ssize_t n, Py_ssize_t rows)
+{
     int bad = 0;
     for (Py_ssize_t pos = 0; pos < n; pos++)
         bad |= (unsigned long long)order[pos] >= (unsigned long long)rows;
     if (bad)
-        return PyErr_Format(PyExc_IndexError, "order has an entry outside [0, %zd)", rows);
+        PyErr_Format(PyExc_IndexError, "order has an entry outside [0, %zd)", rows);
+    return !bad;
+}
 
-    Py_BEGIN_ALLOW_THREADS
+/* One plane's SGD steps over rows order[0..n) of the row-major x (row length
+ * cols), updating w[0..d) and returning the new bias; the step counter runs
+ * from t + 1 to t + n. The one place the operation order is written. */
+static double
+sgd_steps(const double *x, Py_ssize_t cols, const double *y, const long long *order,
+          Py_ssize_t n, double *w, Py_ssize_t d, double b, double lam, double t0,
+          long long t)
+{
     for (Py_ssize_t pos = 0; pos < n; pos++) {
         const double *xi = x + order[pos] * cols;
         double yi = y[order[pos]];
@@ -70,32 +102,137 @@ run_epoch(Py_buffer *v, double b, double lam, double t0, long long t)
                 w[k] = factor * w[k];
         }
     }
+    return b;
+}
+
+static const struct arg epoch_args[4] = {
+    {"x", 2, 'd', 0}, {"y", 1, 'd', 0}, {"order", 1, 'i', 0}, {"w", 1, 'd', 1},
+};
+
+static PyObject *
+run_epoch(Py_buffer *v, double b, double lam, double t0, long long t)
+{
+    const double *x = v[0].buf, *y = v[1].buf;
+    const long long *order = v[2].buf;
+    double *w = v[3].buf;
+    Py_ssize_t rows = v[0].shape[0], cols = v[0].shape[1];
+    Py_ssize_t n = v[2].shape[0], d = v[3].shape[0];
+
+    if (v[1].shape[0] != rows)
+        return PyErr_Format(PyExc_ValueError, "y has %zd entries but x has %zd rows", v[1].shape[0], rows);
+    if (d > cols)
+        return PyErr_Format(PyExc_ValueError, "w has %zd entries but rows of x have %zd", d, cols);
+    if (!order_in_range(order, n, rows))
+        return NULL;
+
+    Py_BEGIN_ALLOW_THREADS
+    b = sgd_steps(x, cols, y, order, n, w, d, b, lam, t0, t);
     Py_END_ALLOW_THREADS
-    return Py_BuildValue("(dL)", b, t);
+    return Py_BuildValue("(dL)", b, t + (long long)n);
 }
 
 static PyObject *
 hinge_epoch(PyObject *self, PyObject *args)
 {
-    static const char *names[4] = {"x", "y", "order", "w"};
-    static const int ndims[4] = {2, 1, 1, 1};
-    static const char kinds[4] = {'d', 'd', 'i', 'd'};
-    PyObject *objs[4], *result = NULL;
+    PyObject *objs[4], *result;
     Py_buffer views[4];
     double b, lam, t0;
     long long t;
-    int held = 0;
 
     if (!PyArg_ParseTuple(args, "OOOOdddL:hinge_epoch", &objs[0], &objs[1], &objs[2],
                           &objs[3], &b, &lam, &t0, &t))
         return NULL;
-    while (held < 4 && get_buffer(objs[held], &views[held], names[held], ndims[held],
-                                  kinds[held], held == 3) == 0)
-        held++;
-    if (held == 4)
-        result = run_epoch(views, b, lam, t0, t);
-    while (held > 0)
-        PyBuffer_Release(&views[--held]);
+    if (get_buffers(objs, views, epoch_args, 4) < 0)
+        return NULL;
+    result = run_epoch(views, b, lam, t0, t);
+    release_buffers(views, 4);
+    return result;
+}
+
+static const struct arg batch_args[6] = {
+    {"x", 2, 'd', 0}, {"y", 2, 'd', 0}, {"order", 2, 'i', 0},
+    {"mask", 2, 'b', 0}, {"w", 2, 'd', 1}, {"b", 1, 'd', 1},
+};
+
+static PyObject *
+run_batch(Py_buffer *v, double lam, double t0, long long t)
+{
+    const double *x = v[0].buf, *y = v[1].buf;
+    const long long *order = v[2].buf;
+    const char *mask = v[3].buf;
+    double *w = v[4].buf, *b = v[5].buf;
+    Py_ssize_t features = v[0].shape[0], rows = v[0].shape[1];
+    Py_ssize_t planes = v[2].shape[0], n = v[2].shape[1];
+
+    if (v[1].shape[0] != planes || v[1].shape[1] != rows)
+        return PyErr_Format(PyExc_ValueError, "y has shape (%zd, %zd) but order and x need (%zd, %zd)",
+                            v[1].shape[0], v[1].shape[1], planes, rows);
+    for (int i = 3; i < 5; i++)
+        if (v[i].shape[0] != features || v[i].shape[1] != planes)
+            return PyErr_Format(PyExc_ValueError, "%s has shape (%zd, %zd) but must be (%zd, %zd)",
+                                batch_args[i].name, v[i].shape[0], v[i].shape[1], features, planes);
+    if (v[5].shape[0] != planes)
+        return PyErr_Format(PyExc_ValueError, "b has %zd entries but order has %zd planes",
+                            v[5].shape[0], planes);
+    if (!order_in_range(order, planes * n, rows))
+        return NULL;
+
+    /* Each plane trains on a row-major copy of its selected columns, shared
+     * with the previous plane when both select the same features. */
+    Py_ssize_t *cols = PyMem_Malloc((features + 1) * sizeof *cols);
+    double *wp = PyMem_Malloc((features + 1) * sizeof *wp);
+    double *xp = PyMem_Malloc((rows * features + 1) * sizeof *xp);
+    if (cols == NULL || wp == NULL || xp == NULL) {
+        PyMem_Free(cols);
+        PyMem_Free(wp);
+        PyMem_Free(xp);
+        return PyErr_NoMemory();
+    }
+    Py_BEGIN_ALLOW_THREADS
+    Py_ssize_t d_prev = -1;
+    for (Py_ssize_t p = 0; p < planes; p++) {
+        Py_ssize_t d = 0;
+        int same = 1;
+        for (Py_ssize_t k = 0; k < features; k++) {
+            if (mask[k * planes + p]) {
+                same &= d < d_prev && cols[d] == k;
+                cols[d++] = k;
+            }
+        }
+        if (!same || d != d_prev) {
+            for (Py_ssize_t j = 0; j < d; j++)
+                for (Py_ssize_t i = 0; i < rows; i++)
+                    xp[i * d + j] = x[cols[j] * rows + i];
+            d_prev = d;
+        }
+        for (Py_ssize_t j = 0; j < d; j++)
+            wp[j] = w[cols[j] * planes + p];
+        b[p] = sgd_steps(xp, d, y + p * rows, order + p * n, n, wp, d, b[p], lam, t0, t);
+        for (Py_ssize_t j = 0; j < d; j++)
+            w[cols[j] * planes + p] = wp[j];
+    }
+    Py_END_ALLOW_THREADS
+    PyMem_Free(cols);
+    PyMem_Free(wp);
+    PyMem_Free(xp);
+    return PyLong_FromLongLong(t + (long long)n);
+}
+
+static PyObject *
+hinge_epoch_batch(PyObject *self, PyObject *args)
+{
+    PyObject *objs[6], *result;
+    Py_buffer views[6];
+    double lam, t0;
+    long long t;
+
+    if (!PyArg_ParseTuple(args, "OOOOOOddL:hinge_epoch_batch", &objs[0], &objs[1], &objs[2],
+                          &objs[3], &objs[4], &objs[5], &lam, &t0, &t))
+        return NULL;
+    if (get_buffers(objs, views, batch_args, 6) < 0)
+        return NULL;
+    result = run_batch(views, lam, t0, t);
+    release_buffers(views, 6);
     return result;
 }
 
@@ -104,13 +241,20 @@ static PyMethodDef methods[] = {
      "hinge_epoch(x, y, order, w, b, lam, t0, t) -> (b, t)\n\n"
      "Run one epoch of SGD over rows in ``order``; updates ``w`` in place.\n\n"
      "Returns the new bias and global step counter."},
+    {"hinge_epoch_batch", hinge_epoch_batch, METH_VARARGS,
+     "hinge_epoch_batch(x, y, order, mask, w, b, lam, t0, t) -> t\n\n"
+     "Run one epoch of SGD for several planes; updates ``w`` and ``b`` in place.\n\n"
+     "``x`` is (features, rows); plane p visits rows ``order[p]`` with labels\n"
+     "``y[p]`` and trains ``w[:, p]``, ``b[p]`` on the features where\n"
+     "``mask[:, p]`` is set, exactly as ``hinge_epoch`` on its projected\n"
+     "columns. Returns the new global step counter."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_hinge_sgd",
-    .m_doc = "Compiled hot loop: one shuffled pass of hinge-loss subgradient descent.",
+    .m_doc = "Compiled hot loop: shuffled passes of hinge-loss subgradient descent.",
     .m_size = 0,
     .m_methods = methods,
 };

@@ -4,7 +4,9 @@ Training is primal stochastic subgradient descent on the hinge objective
 lam/2*|w|^2 + mean hinge with lam = 1/(C*N), step 1/(lam*(t0+t)), shuffled
 epochs under a seed. The epoch-end iterate with the lowest objective is
 kept, which makes the final objective never worse than after epoch one.
-The per-sample inner loop runs in the compiled kernel when available.
+The per-sample inner loop runs in the compiled kernel when available;
+``train_ova_many`` trains the planes of several masks in one batched
+kernel call per epoch, with the same numbers as ``train_ova``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import hinge_epoch
+from ._kernels import hinge_epoch, hinge_epoch_batch
 from .dataset import Dataset
 from .errors import ConfigError, TrainingError
 from .seeds import derive_seed
@@ -39,6 +41,8 @@ class SvmConfig:
             raise ConfigError("svm C must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
+        if self.step_offset is not None and not self.step_offset >= 0:
+            raise ConfigError(f"step_offset must not be negative, got {self.step_offset}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,13 @@ def hinge_objective(x: np.ndarray, y: np.ndarray, plane: Hyperplane, c: float) -
     return float(lam / 2.0 * plane.w @ plane.w + np.mean(np.maximum(0.0, 1.0 - margins)))
 
 
+def _schedule(config: SvmConfig, n: int) -> tuple[float, float]:
+    """(lam, t0) of the step size 1/(lam*(t0+t)) for ``n`` training rows."""
+    lam = 1.0 / (config.c * n)
+    t0 = float(math.ceil(config.c * n)) if config.step_offset is None else float(config.step_offset)
+    return lam, t0
+
+
 def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperplane:
     """Train one plane on rows ``x`` with labels in {-1, +1}.
 
@@ -101,8 +112,7 @@ def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperp
         raise TrainingError("need at least one row of each sign")
 
     n = x.shape[0]
-    lam = 1.0 / (config.c * n)
-    t0 = float(math.ceil(config.c * n)) if config.step_offset is None else float(config.step_offset)
+    lam, t0 = _schedule(config, n)
     rng = np.random.default_rng(config.seed)
 
     w = np.zeros(x.shape[1], dtype=np.float64)
@@ -127,15 +137,20 @@ def margin(plane: Hyperplane) -> float:
     return 2.0 / norm
 
 
+def _present_classes(dataset: Dataset) -> np.ndarray:
+    present = np.unique(dataset.labels)
+    if present.shape[0] < 2:
+        raise TrainingError("one-vs-all training needs at least two classes")
+    return present
+
+
 def train_ova(dataset: Dataset, config: SvmConfig, mask: np.ndarray | None = None) -> SvmModel:
     """Train one plane per class present in the data (target class +1,
     rest -1). Classes absent from the data get no plane and never win."""
     config.validate()
     if mask is None:
         mask = np.ones(dataset.n_features, dtype=bool)
-    present = np.unique(dataset.labels)
-    if present.shape[0] < 2:
-        raise TrainingError("one-vs-all training needs at least two classes")
+    present = _present_classes(dataset)
     planes: list[Hyperplane | None] = []
     for index in range(len(dataset.class_names)):
         if index not in present:
@@ -145,6 +160,59 @@ def train_ova(dataset: Dataset, config: SvmConfig, mask: np.ndarray | None = Non
         per_class = replace(config, seed=derive_seed(config.seed, "ova", index))
         planes.append(train_binary(dataset.rows, labels, per_class))
     return SvmModel(tuple(dataset.class_names), tuple(planes), mask)
+
+
+def train_ova_many(
+    dataset: Dataset, masks: Sequence[np.ndarray], config: SvmConfig, seeds: Sequence[int]
+) -> list[SvmModel]:
+    """``train_ova`` for several feature masks over the same rows.
+
+    Model j has the planes ``train_ova`` trains on the columns ``masks[j]``
+    selects under ``seeds[j]``, bit for bit: each (mask, class) plane keeps
+    its own seed, per-epoch permutation and best epoch, and all planes
+    share the step counter. They train together, one ``hinge_epoch_batch``
+    call per epoch. Each model carries its mask.
+    """
+    config.validate()
+    masks = [np.asarray(mask, dtype=bool) for mask in masks]
+    if len(seeds) != len(masks):
+        raise TrainingError(f"{len(masks)} masks but {len(seeds)} seeds")
+    if any(mask.shape != (dataset.n_features,) or not mask.any() for mask in masks):
+        raise TrainingError(f"every mask must be a non-empty {dataset.n_features}-bit mask")
+    present = [int(k) for k in _present_classes(dataset)]
+    n = dataset.n_rows
+    lam, t0 = _schedule(config, n)
+    # Plane p = j * len(present) + i trains class present[i] under masks[j].
+    plan = [(j, k) for j in range(len(masks)) for k in present]
+    x = np.ascontiguousarray(dataset.rows.T)
+    y = np.where(dataset.labels == np.array([k for _, k in plan])[:, None], 1.0, -1.0)
+    selected = np.stack([masks[j] for j, _ in plan], axis=1)
+    rngs = [np.random.default_rng(derive_seed(seeds[j], "ova", k)) for j, k in plan]
+    order = np.empty((len(plan), n), dtype=np.int64)
+    w = np.zeros(selected.shape)
+    b = np.zeros(len(plan))
+    t = 0
+    best: list[tuple[float, Hyperplane] | None] = [None] * len(plan)
+    for _ in range(config.epochs):
+        for p, rng in enumerate(rngs):
+            order[p] = rng.permutation(n)
+        t = hinge_epoch_batch(x, y, order, selected, w, b, lam, t0, t)
+        # The objective of each plane is train_binary's, on the same
+        # projected rows; one mask's projection is held at a time.
+        for j, mask in enumerate(masks):
+            rows = dataset.rows[:, mask]
+            for p in range(j * len(present), (j + 1) * len(present)):
+                plane = Hyperplane(w[mask, p], b[p])
+                objective = hinge_objective(rows, y[p], plane, config.c)
+                if best[p] is None or objective < best[p][0]:
+                    best[p] = (objective, plane)
+    models = []
+    for j, mask in enumerate(masks):
+        planes: list[Hyperplane | None] = [None] * len(dataset.class_names)
+        for i, k in enumerate(present):
+            planes[k] = best[j * len(present) + i][1]
+        models.append(SvmModel(tuple(dataset.class_names), tuple(planes), mask))
+    return models
 
 
 def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:

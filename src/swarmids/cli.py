@@ -74,9 +74,11 @@ class RunConfig:
     plots: bool = True
 
     def __post_init__(self):
-        for name in ("subsample", "threads"):
-            if getattr(self, name) < 0:
+        for name in ("subsample", "threads", "step_offset"):
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be at least 2, got {self.folds}")
 
     def goa_config(self, seed: int, dim: int = len(FEATURE_NAMES)) -> GoaConfig:
         return GoaConfig(
@@ -446,6 +448,12 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         config = _merge_config(args)
+        if BACKEND == "python" and args.command != "prepare":
+            print(
+                "note: SGD kernel backend 'python' (the pure-Python twin, much slower); "
+                'build the compiled kernel as README "Install" says',
+                file=sys.stderr,
+            )
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -210,8 +210,34 @@ def update_positions(
     return swarm
 
 
+def _evaluate_one(objective: Callable[[np.ndarray], float], mask: np.ndarray) -> float:
+    try:
+        return float(objective(mask.copy()))
+    except Exception as exc:  # noqa: BLE001 - re-raised with context
+        raise ObjectiveError(mask_to_bitstring(mask), exc) from exc
+
+
+def _evaluate(objective: Callable[[np.ndarray], float], masks: np.ndarray) -> list[float]:
+    """Fitness of every member, in member order: one ``objective.many``
+    call when the objective has that method, else one call per member."""
+    many = getattr(objective, "many", None)
+    if many is None:
+        return [_evaluate_one(objective, mask) for mask in masks]
+    try:
+        return [float(value) for value in many([mask.copy() for mask in masks])]
+    except Exception as exc:  # noqa: BLE001 - re-raised with context
+        # Name the member that fails on its own, as one call per member would.
+        for mask in masks:
+            _evaluate_one(objective, mask)
+        raise ObjectiveError(mask_to_bitstring(masks[0]), exc) from exc
+
+
 def run(objective: Callable[[np.ndarray], float], config: GoaConfig) -> GoaResult:
     """Maximize ``objective(mask)`` over non-empty binary masks.
+
+    An objective with a ``many(masks) -> values`` method scores each
+    iteration's population in one call; it must return what one call per
+    mask would, in member order.
 
     Stops at ``max_iterations`` or when the best fitness improves by less
     than ``fitness_delta_stop`` between consecutive iterations (checked
@@ -227,18 +253,13 @@ def run(objective: Callable[[np.ndarray], float], config: GoaConfig) -> GoaResul
         t = swarm.iteration + 1
         swarm.iteration = t
         swarm.c = update_c(t - 1, config)
-        for i in range(swarm.size):
-            mask = swarm.masks[i]
-            try:
-                value = float(objective(mask.copy()))
-            except Exception as exc:  # noqa: BLE001 - re-raised with context
-                raise ObjectiveError(mask_to_bitstring(mask), exc) from exc
+        for i, value in enumerate(_evaluate(objective, swarm.masks)):
             swarm.fitness[i] = value
             # >= lets the incumbent drift across equal-fitness plateaus.
             if value >= swarm.best_fitness:
                 swarm.best_fitness = value
                 swarm.best_position = swarm.positions[i].copy()
-                swarm.best_mask = mask.copy()
+                swarm.best_mask = swarm.masks[i].copy()
         history.append(
             IterationRecord(
                 iteration=t,

@@ -13,11 +13,11 @@ where r_tp and r_e come from the attack-pooled binary confusion
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, IO
+from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from .classifier import SvmConfig, SvmModel, predict, train_ova
+from .classifier import SvmConfig, SvmModel, predict, train_ova, train_ova_many
 from .confusion import ConfusionCounts, binary_attack_confusion, tpr
 from .dataset import Dataset, stratified_sample_indices
 from .errors import DataError
@@ -74,7 +74,11 @@ def mask_fitness(
     """
     mask = np.asarray(mask, dtype=bool)
     trainer = train_ova if train_fn is None else train_fn
-    model = trainer(project_features(fit_ds, mask), svm_config)
+    return _score(mask, trainer(project_features(fit_ds, mask), svm_config), val_ds)
+
+
+def _score(mask: np.ndarray, model: SvmModel, val_ds: Dataset) -> FitnessBreakdown:
+    """Fitness of a model trained under ``mask``, on the validation view."""
     predictions = predict(model, project_features(val_ds, mask).rows)
     counts = binary_attack_confusion(val_ds.labels, predictions)
     degenerate = (counts.tp + counts.fn) == 0
@@ -109,6 +113,11 @@ class WrapperObjective:
 
     ``trace`` (any object with ``write``) receives one CSV line per
     evaluation call: bitstring, r_tp, r_e, n_f, fitness.
+
+    ``many(masks)`` scores a whole population: the distinct uncached masks
+    train together (``train_ova_many``), then every mask goes through
+    ``breakdown`` in order, so values, trace lines and ``evaluations`` are
+    those of one call per mask.
     """
 
     TRACE_HEADER = "mask,r_tp,r_e,n_f,fitness\n"
@@ -134,11 +143,14 @@ class WrapperObjective:
         if trace is not None:
             trace.write(self.TRACE_HEADER)
 
+    def _seed(self, bits: str) -> int:
+        return derive_seed(self.run_seed, "mask", bits)
+
     def breakdown(self, mask: np.ndarray) -> FitnessBreakdown:
         bits = mask_to_bitstring(mask)
         result = self._cache.get(bits)
         if result is None:
-            config = replace(self.svm_config, seed=derive_seed(self.run_seed, "mask", bits))
+            config = replace(self.svm_config, seed=self._seed(bits))
             result = mask_fitness(mask, self.fit_ds, self.val_ds, config)
             self.evaluations += 1
             self._cache[bits] = result
@@ -150,3 +162,17 @@ class WrapperObjective:
 
     def __call__(self, mask: np.ndarray) -> float:
         return self.breakdown(mask).fitness
+
+    def many(self, masks: Sequence[np.ndarray]) -> list[float]:
+        new: dict[str, np.ndarray] = {}
+        for mask in masks:
+            bits = mask_to_bitstring(mask)
+            if bits not in self._cache:
+                new.setdefault(bits, np.asarray(mask, dtype=bool))
+        if new:
+            seeds = [self._seed(bits) for bits in new]
+            models = train_ova_many(self.fit_ds, list(new.values()), self.svm_config, seeds)
+            for (bits, mask), model in zip(new.items(), models):
+                self._cache[bits] = _score(mask, model, self.val_ds)
+            self.evaluations += len(new)
+        return [self.breakdown(mask).fitness for mask in masks]

@@ -1,5 +1,7 @@
 """Linear SVM training, decision geometry, and one-vs-all."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from swarmids.classifier import (
     predict,
     train_binary,
     train_ova,
+    train_ova_many,
 )
 from swarmids.dataset import Dataset
 from swarmids.errors import ConfigError, TrainingError
@@ -94,6 +97,12 @@ class TestTrainBinary:
             SvmConfig(c=0.0).validate()
         with pytest.raises(ConfigError):
             SvmConfig(epochs=0).validate()
+
+    def test_negative_step_offset_rejected(self):
+        # eta = 1/(lam*(t0+t)) divides by zero at t0 = -1.
+        with pytest.raises(ConfigError, match="step_offset"):
+            SvmConfig(step_offset=-1).validate()
+        SvmConfig(step_offset=0.0).validate()
 
 
 def decision(plane, x):
@@ -194,6 +203,62 @@ class TestOneVsAll:
         model = train_ova(ds, SvmConfig(c=50.0, epochs=100, seed=3))
         accuracy = np.mean(predict(model, ds.rows) == ds.labels)
         assert accuracy >= 0.97
+
+
+def _signed_dataset(seed=0, features=6, absent=()):
+    """Five-class rows with negative, zero and positive features."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(100) % 5
+    rows = rng.normal(size=(100, features)) + labels[:, None] * 0.3
+    rows[rng.random(rows.shape) < 0.1] = 0.0
+    keep = ~np.isin(labels, absent)
+    return Dataset(rows[keep], labels[keep], ("A", "B", "C", "D", "E"))
+
+
+class TestTrainOvaMany:
+    @pytest.mark.parametrize("absent", [(), (3,)], ids=["all-classes", "class-absent"])
+    @pytest.mark.parametrize("step_offset", [None, 0.0, 7.0])
+    def test_equals_train_ova_per_mask(self, absent, step_offset):
+        ds = _signed_dataset(absent=absent)
+        masks = [np.array(bits, dtype=bool) for bits in
+                 ([1, 1, 1, 1, 1, 1], [0, 1, 0, 0, 1, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 1])]
+        seeds = [11, 12, 13, 14]
+        config = SvmConfig(c=2.0, epochs=4, step_offset=step_offset)
+        models = train_ova_many(ds, masks, config, seeds)
+        assert len(models) == len(masks)
+        for mask, seed, model in zip(masks, seeds, models):
+            projected = Dataset(ds.rows[:, mask], ds.labels, ds.class_names)
+            expected = train_ova(projected, replace(config, seed=seed))
+            assert np.array_equal(model.mask, mask)
+            for got, want in zip(model.planes, expected.planes):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.w.tobytes() == want.w.tobytes() and got.b == want.b
+        assert (models[2].planes[3] is None) == bool(absent)
+
+    def test_one_mask(self):
+        ds = _signed_dataset(seed=1)
+        mask = np.array([0, 0, 1, 0, 1, 0], dtype=bool)
+        (model,) = train_ova_many(ds, [mask], SvmConfig(epochs=3), [5])
+        expected = train_ova(Dataset(ds.rows[:, mask], ds.labels, ds.class_names),
+                             SvmConfig(epochs=3, seed=5))
+        assert all(g.w.tobytes() == e.w.tobytes() and g.b == e.b
+                   for g, e in zip(model.planes, expected.planes))
+
+    @pytest.mark.parametrize("masks, seeds", [
+        ([np.ones(5, dtype=bool)], [1]),
+        ([np.zeros(6, dtype=bool)], [1]),
+        ([np.ones(6, dtype=bool)], [1, 2]),
+    ], ids=["wrong-length", "empty", "seed-count"])
+    def test_bad_masks_rejected(self, masks, seeds):
+        with pytest.raises(TrainingError):
+            train_ova_many(_signed_dataset(), masks, SvmConfig(epochs=1), seeds)
+
+    def test_single_class_rejected(self):
+        ds = _signed_dataset(absent=(1, 2, 3, 4))
+        with pytest.raises(TrainingError):
+            train_ova_many(ds, [np.ones(6, dtype=bool)], SvmConfig(epochs=1), [0])
 
 
 class TestPredict:

@@ -54,7 +54,7 @@ class TestConfigFile:
         b = config_digest(RunConfig(seed=2))
         assert a != b
 
-    @pytest.mark.parametrize("field", ["subsample", "threads"])
+    @pytest.mark.parametrize("field", ["subsample", "threads", "step_offset"])
     def test_negative_count_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: -1})
@@ -210,17 +210,48 @@ class TestExitCodes:
     def test_missing_config_file_exits_1(self, run_cli):
         assert run_cli(["prepare", "--config", "/nonexistent.cfg"]) == 1
 
-    @pytest.mark.parametrize("flag", ["--subsample", "--threads"])
+    @pytest.mark.parametrize("flag", ["--subsample", "--threads", "--step-offset"])
     def test_negative_count_flag_exits_1(self, synth_file, tmp_path, run_cli, capsys, flag):
         out = tmp_path / "run"
         assert run_cli(["prepare", "--data", str(synth_file), "--out", str(out), flag, "-5"]) == 1
         assert "must not be negative" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["subsample", "threads"])
+    @pytest.mark.parametrize("key", ["subsample", "threads", "step_offset"])
     def test_negative_count_in_config_file_exits_1(self, synth_file, tmp_path, run_cli, key):
         out = tmp_path / "run"
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"data={synth_file}\nout={out}\n{key}=-5\n")
         assert run_cli(["prepare", "--config", str(cfg)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("folds", ["1", "0"])
+    def test_folds_below_two_exit_1(self, synth_file, tmp_path, run_cli, capsys, folds):
+        out = tmp_path / "run"
+        assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        assert run_cli(["evaluate", *_args(synth_file, out, "--folds", folds)]) == 1
+        assert "folds must be at least 2" in capsys.readouterr().err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"out={out}\nfolds={folds}\n")
+        assert run_cli(["evaluate", "--config", str(cfg)]) == 1
+        assert not (out / "evaluate_report.json").exists()
+
+
+class TestBackendNotice:
+    @pytest.mark.parametrize("backend, shown", [("python", True), ("cython", False)])
+    def test_twin_backend_named_on_stderr(self, monkeypatch, tmp_path, run_cli, capsys,
+                                          backend, shown):
+        monkeypatch.setattr("swarmids.cli.BACKEND", backend)
+        assert run_cli(["select", "--out", str(tmp_path / "empty")]) == 2
+        notes = [l for l in capsys.readouterr().err.splitlines() if l.startswith("note:")]
+        if shown:
+            assert len(notes) == 1
+            assert "'python'" in notes[0] and 'README "Install"' in notes[0]
+        else:
+            assert notes == []
+
+    def test_prepare_never_trains_so_no_notice(self, monkeypatch, synth_file, tmp_path,
+                                               run_cli, capsys):
+        monkeypatch.setattr("swarmids.cli.BACKEND", "python")
+        assert run_cli(["prepare", *_args(synth_file, tmp_path / "run")]) == 0
+        assert "note:" not in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Backend kernels: availability, hand-checked arithmetic, input checks, and
-bit-identical results between the compiled extension and the pure-Python twin.
+bit-identical results between the compiled extension and the pure-Python twin,
+for the per-plane ``hinge_epoch`` and the batched ``hinge_epoch_batch``.
 
 The compiled backend under test is built by this module from the repository's
 own ``setup.py`` into a temporary directory, so the suite checks what an
@@ -7,23 +8,26 @@ install builds, without a prior build step and without writing into ``src/``.
 """
 
 import importlib.util
+import io
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swarmids import classifier
-from swarmids._kernels import available_backends
-from swarmids.dataset import parse_kdd
+from swarmids._kernels import _hinge_sgd_py, available_backends
+from swarmids.dataset import Dataset, parse_kdd
 from swarmids.errors import DataWarning
 from swarmids.evaluation import cross_validate, report_to_json
 from swarmids.optimizer import GoaConfig
+from swarmids.selection import WrapperObjective
 
 from _synth import make_kdd_csv
 
@@ -48,8 +52,8 @@ MISSING_TOOLCHAIN = _missing_toolchain()
 def build(tmp_path_factory):
     """Run ``setup.py build_ext`` into a temp dir and load the result by path.
 
-    Returns ``(hinge_epoch or None, build output)``; a failed build is
-    reported by ``test_compiled_backend_built``.
+    Returns ``(module or None, build output)``; a failed build is reported
+    by ``test_compiled_backend_built``.
     """
     if MISSING_TOOLCHAIN:
         return None, MISSING_TOOLCHAIN
@@ -70,14 +74,22 @@ def build(tmp_path_factory):
         spec.loader.exec_module(module)
     except ImportError as exc:
         return None, f"{log}\n{exc!r}"
-    return module.hinge_epoch, log
+    return module, log
 
 
 @pytest.fixture(scope="module")
 def backends(build):
     out = available_backends()
     if build[0] is not None:
-        out["cython"] = build[0]
+        out["cython"] = build[0].hinge_epoch
+    return out
+
+
+@pytest.fixture(scope="module")
+def batch_backends(build):
+    out = {"python": _hinge_sgd_py.hinge_epoch_batch}
+    if build[0] is not None:
+        out["cython"] = build[0].hinge_epoch_batch
     return out
 
 
@@ -190,15 +202,16 @@ def test_compiled_rejects_bad_buffers(backends, bad):
         backends["cython"](args["x"], args["y"], args["order"], args["w"], 0.0, 1.0, 1.0, 0)
 
 
-def test_compiled_kernel_on_fold_threads(backends, monkeypatch):
+def test_compiled_kernel_on_fold_threads(backends, batch_backends, monkeypatch):
     # The compiled kernel releases the GIL, so evaluate's fold pool runs it
     # concurrently; the report must not depend on backend or thread count.
     if "cython" not in backends:
         pytest.skip("compiled backend not built")
     records = parse_kdd(make_kdd_csv(400, seed=7))
     reports = []
-    for epoch in (backends["python"], backends["cython"]):
-        monkeypatch.setattr(classifier, "hinge_epoch", epoch)
+    for name in ("python", "cython"):
+        monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
+        monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
         for threads in (1, 2):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DataWarning)
@@ -209,3 +222,171 @@ def test_compiled_kernel_on_fold_threads(backends, monkeypatch):
                 )
             reports.append(report_to_json(report))
     assert len(reports) == 4 and len(set(reports)) == 1
+
+
+def _batch_problem(seed, rows, features, planes):
+    """Rows with negative and zero features, one label row, order row and
+    mask column per plane (never empty), zero weights."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, features))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    y = np.where(rng.random((planes, rows)) < 0.5, -1.0, 1.0)
+    mask = rng.random((features, planes)) < 0.6
+    mask[0, :] = True
+    if planes > 1:
+        mask[:, 1] = mask[:, 0]  # two planes on one mask, like two classes
+    if planes > 2:
+        mask[:, 2] = np.roll(mask[:, 0], 1)  # as many features, other columns
+    return x, y, mask
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(60, 5, 4), (90, 41, 7), (35, 41, 1)],
+                         ids=["60x5x4", "90x41x7", "one-plane"])
+def test_batch_matches_per_plane(backends, batch_backends, seed, shape):
+    # Each plane of the batch must equal hinge_epoch on its projected
+    # columns, on every backend, byte for byte; unselected weights stay +0.0.
+    rows, features, planes = shape
+    x, y, mask = _batch_problem(seed, rows, features, planes)
+    lam, t0 = 1.0 / rows, float(rows)
+    rng = np.random.default_rng(seed)
+    orders = [np.stack([rng.permutation(rows) for _ in range(planes)]) for _ in range(3)]
+    expected = {}
+    for name, epoch in backends.items():
+        for p in range(planes):
+            xp = np.ascontiguousarray(x[:, mask[:, p]])
+            w = np.zeros(xp.shape[1])
+            b, t = 0.0, 5
+            for order in orders:
+                b, t = epoch(xp, y[p], np.ascontiguousarray(order[p]), w, b, lam, t0, t)
+            expected[name, p] = (w.tobytes(), b, t)
+    for name, batch in batch_backends.items():
+        xt = np.ascontiguousarray(x.T)
+        w = np.zeros((features, planes))
+        b = np.zeros(planes)
+        t = 5
+        for order in orders:
+            t = batch(xt, y, order, mask, w, b, lam, t0, t)
+        for p in range(planes):
+            for per_plane in backends:
+                assert (w[mask[:, p], p].tobytes(), b[p], t) == expected[per_plane, p], (name, p)
+        assert w[~mask].tobytes() == np.zeros(int((~mask).sum())).tobytes()
+
+
+@pytest.mark.parametrize("planes", [1, 2])
+def test_batch_dot_product_is_sequential(backends, batch_backends, planes):
+    # Summed in feature order, 1 + 40 * (-2**-54) stays 1.0 (each tie rounds
+    # to even), so the margin is exactly 1 and the step only shrinks w; a
+    # pairwise or blocked sum reaches 1 - 40 * 2**-54 and takes a hinge step.
+    x = np.array([[1.0] + [-(2.0**-54)] * 40])
+    for epoch in backends.values():
+        w = np.ones(41)
+        assert epoch(x, np.ones(1), np.zeros(1, dtype=np.int64), w, 0.0, 1.0, 1.0, 0) == (0.0, 1)
+        assert (w == 0.5).all()
+    for batch in batch_backends.values():
+        w, b = np.ones((41, planes)), np.zeros(planes)
+        order = np.zeros((planes, 1), dtype=np.int64)
+        mask = np.ones((41, planes), dtype=bool)
+        assert batch(np.ascontiguousarray(x.T), np.ones((planes, 1)), order, mask, w, b, 1.0, 1.0, 0) == 1
+        assert (w == 0.5).all() and not b.any()
+
+
+def _batch_args(rows=4, features=3, planes=2):
+    x, y, mask = _batch_problem(0, rows, features, planes)
+    return {"x": np.ascontiguousarray(x.T), "y": y, "order": np.tile(np.arange(rows), (planes, 1)),
+            "mask": mask, "w": np.zeros((features, planes)), "b": np.zeros(planes)}
+
+
+def _call_batch(batch, a):
+    return batch(a["x"], a["y"], a["order"], a["mask"], a["w"], a["b"], 1.0, 1.0, 0)
+
+
+def test_batch_out_of_range_order_entry_raises(batch_backends):
+    for batch in batch_backends.values():
+        for bad in (4, -1):
+            a = _batch_args()
+            a["order"][1, 2] = bad
+            with pytest.raises(IndexError):
+                _call_batch(batch, a)
+            assert not a["w"].any() and not a["b"].any()  # rejected before any update
+
+
+@pytest.mark.parametrize("bad", [
+    {"y": np.ones((2, 3))},
+    {"y": np.ones((3, 4))},
+    {"order": np.zeros((3, 4), dtype=np.int64)},
+    {"mask": np.ones((4, 2), dtype=bool)},
+    {"w": np.zeros((3, 3))},
+    {"b": np.zeros(3)},
+], ids=["y-rows", "y-planes", "order-planes", "mask-features", "w-planes", "b-planes"])
+def test_batch_shape_mismatch_raises(batch_backends, bad):
+    for batch in batch_backends.values():
+        a = _batch_args()
+        a.update({k: v.copy() for k, v in bad.items()})
+        with pytest.raises(ValueError):
+            _call_batch(batch, a)
+        assert not a["w"].any() and not a["b"].any()
+
+
+@pytest.mark.parametrize("bad", [
+    {"mask": np.ones((3, 2), dtype=np.uint8)},
+    {"x": np.ones((3, 4), dtype=np.float32)},
+    {"order": np.zeros((2, 4), dtype=np.int32)},
+    {"w": _readonly(np.zeros((3, 2)))},
+    {"b": _readonly(np.zeros(2))},
+], ids=["mask-uint8", "x-float32", "order-int32", "w-readonly", "b-readonly"])
+def test_compiled_batch_rejects_bad_buffers(batch_backends, bad):
+    if "cython" not in batch_backends:
+        pytest.skip("compiled backend not built")
+    a = _batch_args()
+    a.update(bad)
+    with pytest.raises(ValueError):
+        _call_batch(batch_backends["cython"], a)
+
+
+def test_compiled_population(backends, batch_backends, synth_dataset, monkeypatch):
+    # One WrapperObjective population trained by the compiled batched
+    # kernel scores, traces and counts exactly like the twin.
+    if "cython" not in batch_backends:
+        pytest.skip("compiled backend not built")
+    rng = np.random.default_rng(4)
+    masks = list(rng.random((8, 41)) < 0.5)
+    masks.append(masks[2].copy())
+    results = []
+    for name in ("python", "cython"):
+        monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
+        monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
+        trace = io.StringIO()
+        objective = WrapperObjective(synth_dataset, run_seed=2, svm_config=classifier.SvmConfig(),
+                                     fitness_epochs=3, trace=trace)
+        results.append((objective.many(masks), trace.getvalue(), objective.evaluations))
+    assert results[0] == results[1]
+    assert results[0][2] == 8
+
+
+def test_train_ova_many_on_every_backend(backends, batch_backends, monkeypatch):
+    # Batched training equals per-mask train_ova bit for bit on every
+    # backend, with negative features and a class absent from the rows.
+    rng = np.random.default_rng(8)
+    labels = np.array([0, 1, 2, 4] * 30)
+    rows = rng.normal(size=(120, 9)) + labels[:, None] * 0.4
+    ds = Dataset(rows, labels)
+    masks = [rng.random(9) < 0.5 for _ in range(5)]
+    for mask in masks:
+        mask[0] = True
+    config = classifier.SvmConfig(epochs=3)
+    planes = []
+    for name in backends:
+        monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
+        monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
+        for batched in (True, False):
+            if batched:
+                models = classifier.train_ova_many(ds, masks, config, range(5))
+            else:
+                models = [classifier.train_ova(Dataset(rows[:, m], labels), replace(config, seed=s))
+                          for m, s in zip(masks, range(5))]
+            planes.append([[None if p is None else (p.w.tobytes(), p.b) for p in model.planes]
+                           for model in models])
+    assert all(model[3] is None for model in planes[0])
+    assert all(other == planes[0] for other in planes[1:])
+    assert len(planes) == 2 * len(backends)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmids.classifier import SvmConfig
 from swarmids.errors import ConfigError, ObjectiveError
 from swarmids.optimizer import (
     GoaConfig,
@@ -25,6 +26,7 @@ from swarmids.optimizer import (
     update_c,
     update_positions,
 )
+from swarmids.selection import WrapperObjective
 
 
 def _s_reference(r, f=0.5, l=1.5):
@@ -283,6 +285,53 @@ class TestRun:
             run(broken, config)
         assert set(err.value.mask_bits) <= {"0", "1"}
         assert len(err.value.mask_bits) == 6
+
+    def test_many_gives_the_same_result(self, synth_dataset):
+        # Population scoring through many() must not change the search:
+        # hash fitness has many ties, so >= plateau drift is exercised too.
+        class Batched:
+            def __init__(self, fn):
+                self.fn, self.batches = fn, []
+
+            def __call__(self, mask):
+                raise AssertionError("run must call many()")
+
+            def many(self, masks):
+                self.batches.append(len(masks))
+                return [self.fn(m) for m in masks]
+
+        config = GoaConfig(population_size=6, dim=41, max_iterations=6,
+                           fitness_delta_stop=0.0, seed=5)
+        coarse = lambda m: round(_hash_objective(2)(m), 1)  # noqa: E731
+        wrapper = WrapperObjective(synth_dataset, run_seed=1, svm_config=SvmConfig(),
+                                   fitness_epochs=2)
+        batched = Batched(coarse)
+        for plain, objective in ((coarse, batched), (lambda m: wrapper(m), wrapper)):
+            a = run(plain, config)
+            b = run(objective, config)
+            assert a.history == b.history and a.stop_reason == b.stop_reason
+            assert a.best_fitness == b.best_fitness
+            assert np.array_equal(a.best_mask, b.best_mask)
+            assert np.array_equal(a.best_position, b.best_position)
+        assert batched.batches == [6] * 6
+
+    def test_many_failure_names_the_failing_mask(self):
+        config = GoaConfig(population_size=4, dim=6, seed=0)
+        bad = mask_to_bitstring(init_swarm(config).masks[2])
+
+        class Broken:
+            def __call__(self, mask):
+                if mask_to_bitstring(mask) == bad:
+                    raise ValueError("boom")
+                return 0.5
+
+            def many(self, masks):
+                raise ValueError("batch failed")
+
+        with pytest.raises(ObjectiveError) as err:
+            run(Broken(), config)
+        assert err.value.mask_bits == bad
+        assert "boom" in str(err.value)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

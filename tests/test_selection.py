@@ -225,3 +225,38 @@ class TestWrapperObjective:
         fields = lines[1].split(",")
         assert fields[0] == "1" * 41
         assert fields[3] == "41"
+
+
+class TestMany:
+    def _masks(self):
+        rng = np.random.default_rng(6)
+        masks = list(rng.random((6, 41)) < 0.4)
+        masks[0][:] = True
+        masks.append(masks[3].copy())  # duplicate inside the population
+        masks.append(masks[0].copy())
+        return masks
+
+    def _objective(self, dataset, trace):
+        return WrapperObjective(
+            dataset, run_seed=4, svm_config=SvmConfig(c=2.0), fitness_epochs=3, trace=trace
+        )
+
+    def test_equals_breakdown_per_mask(self, small_dataset):
+        masks = self._masks()
+        one_trace, many_trace = io.StringIO(), io.StringIO()
+        one = self._objective(small_dataset, one_trace)
+        batched = self._objective(small_dataset, many_trace)
+        # A cache hit before the batch, then the population twice.
+        expected = [one.breakdown(masks[5])]
+        expected += [one.breakdown(m) for m in masks] + [one.breakdown(m) for m in masks]
+        batched.breakdown(masks[5])
+        values = batched.many(masks) + batched.many(masks)
+        assert values == [b.fitness for b in expected[1:]]
+        assert many_trace.getvalue() == one_trace.getvalue()
+        assert batched.evaluations == one.evaluations == 6
+        assert [batched.breakdown(m) for m in masks] == expected[1 : len(masks) + 1]
+
+    def test_empty_population(self, small_dataset):
+        objective = self._objective(small_dataset, None)
+        assert objective.many([]) == []
+        assert objective.evaluations == 0
