@@ -4,15 +4,16 @@ Training is primal stochastic subgradient descent on the hinge objective
 lam/2*|w|^2 + mean hinge with lam = 1/(C*N), step 1/(lam*(t0+t)), shuffled
 epochs under a seed. The epoch-end iterate with the lowest objective is
 kept, which makes the final objective never worse than after epoch one.
-The per-sample inner loop runs in the compiled kernel when available;
-``train_ova_many`` trains the planes of several masks in one batched
-kernel call per epoch, with the same numbers as ``train_ova``.
+The per-sample inner loop runs in the compiled kernel when available.
+``train_ova`` trains the planes of one or several feature masks through
+one epoch loop, which picks the per-plane or the batched kernel by the
+number of masks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,10 +38,10 @@ class SvmConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.c > 0:
-            raise ConfigError("svm C must be positive")
+        if not 0 < self.c < math.inf:
+            raise ConfigError(f"svm C must be positive and finite, got {self.c}")
         if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.step_offset is not None and not self.step_offset >= 0:
             raise ConfigError(f"step_offset must not be negative, got {self.step_offset}")
 
@@ -89,11 +90,58 @@ def hinge_objective(x: np.ndarray, y: np.ndarray, plane: Hyperplane, c: float) -
     return float(lam / 2.0 * plane.w @ plane.w + np.mean(np.maximum(0.0, 1.0 - margins)))
 
 
-def _schedule(config: SvmConfig, n: int) -> tuple[float, float]:
-    """(lam, t0) of the step size 1/(lam*(t0+t)) for ``n`` training rows."""
+def _train_planes(
+    rows: np.ndarray,
+    y: np.ndarray,
+    masks: Sequence[np.ndarray],
+    plan: Sequence[int],
+    seeds: Sequence[int],
+    config: SvmConfig,
+) -> list[Hyperplane]:
+    """Train plane p on labels ``y[p]`` (in {-1, +1}) over the columns of
+    ``rows`` that ``masks[plan[p]]`` selects, shuffled under ``seeds[p]``.
+
+    All planes share the step counter; each draws its own permutation every
+    epoch and keeps its epoch-end iterate with the lowest objective. One
+    mask runs the per-plane ``hinge_epoch`` on the projected rows, several
+    run one ``hinge_epoch_batch`` call per epoch; both give the same
+    numbers, and the twin's batched step only pays off beyond a few planes.
+    """
+    n = rows.shape[0]
     lam = 1.0 / (config.c * n)
     t0 = float(math.ceil(config.c * n)) if config.step_offset is None else float(config.step_offset)
-    return lam, t0
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    order = np.empty((len(rngs), n), dtype=np.int64)
+    b = np.zeros(len(rngs))
+    t = 0
+    single = len(masks) == 1
+    if single:
+        x = rows.compress(masks[0], axis=1)
+        w = np.zeros((len(rngs), x.shape[1]))
+    else:
+        x = np.ascontiguousarray(rows.T)
+        selected = np.stack([masks[j] for j in plan], axis=1)
+        w = np.zeros(selected.shape)
+    best: list[tuple[float, Hyperplane] | None] = [None] * len(rngs)
+    for _ in range(config.epochs):
+        for p, rng in enumerate(rngs):
+            order[p] = rng.permutation(n)
+        if single:
+            for p in range(len(rngs)):
+                b[p], steps = hinge_epoch(x, y[p], order[p], w[p], b[p], lam, t0, t)
+            t = steps
+        else:
+            t = hinge_epoch_batch(x, y, order, selected, w, b, lam, t0, t)
+        # The objective sees the same row-major projection on both paths;
+        # one mask's projection is held at a time.
+        for j, mask in enumerate(masks):
+            projected = x if single else rows.compress(mask, axis=1)
+            for p in (p for p, k in enumerate(plan) if k == j):
+                plane = Hyperplane(w[p] if single else w[mask, p], b[p])
+                objective = hinge_objective(projected, y[p], plane, config.c)
+                if best[p] is None or objective < best[p][0]:
+                    best[p] = (objective, plane)
+    return [plane for _, plane in best]
 
 
 def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperplane:
@@ -110,23 +158,9 @@ def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperp
         raise TrainingError("labels must be -1 or +1")
     if not ((y > 0).any() and (y < 0).any()):
         raise TrainingError("need at least one row of each sign")
-
-    n = x.shape[0]
-    lam, t0 = _schedule(config, n)
-    rng = np.random.default_rng(config.seed)
-
-    w = np.zeros(x.shape[1], dtype=np.float64)
-    b = 0.0
-    t = 0
-    best: tuple[float, np.ndarray, float] | None = None
-    for _ in range(config.epochs):
-        order = rng.permutation(n).astype(np.int64)
-        b, t = hinge_epoch(x, y, order, w, b, lam, t0, t)
-        objective = hinge_objective(x, y, Hyperplane(w, b), config.c)
-        if best is None or objective < best[0]:
-            best = (objective, w.copy(), b)
-    assert best is not None
-    return Hyperplane(best[1], best[2])
+    all_columns = np.ones(x.shape[1], dtype=bool)
+    (plane,) = _train_planes(x, y[None], [all_columns], [0], [config.seed], config)
+    return plane
 
 
 def margin(plane: Hyperplane) -> float:
@@ -137,81 +171,39 @@ def margin(plane: Hyperplane) -> float:
     return 2.0 / norm
 
 
-def _present_classes(dataset: Dataset) -> np.ndarray:
-    present = np.unique(dataset.labels)
-    if present.shape[0] < 2:
-        raise TrainingError("one-vs-all training needs at least two classes")
-    return present
-
-
-def train_ova(dataset: Dataset, config: SvmConfig, mask: np.ndarray | None = None) -> SvmModel:
-    """Train one plane per class present in the data (target class +1,
-    rest -1). Classes absent from the data get no plane and never win."""
-    config.validate()
-    if mask is None:
-        mask = np.ones(dataset.n_features, dtype=bool)
-    present = _present_classes(dataset)
-    planes: list[Hyperplane | None] = []
-    for index in range(len(dataset.class_names)):
-        if index not in present:
-            planes.append(None)
-            continue
-        labels = np.where(dataset.labels == index, 1.0, -1.0)
-        per_class = replace(config, seed=derive_seed(config.seed, "ova", index))
-        planes.append(train_binary(dataset.rows, labels, per_class))
-    return SvmModel(tuple(dataset.class_names), tuple(planes), mask)
-
-
-def train_ova_many(
-    dataset: Dataset, masks: Sequence[np.ndarray], config: SvmConfig, seeds: Sequence[int]
+def train_ova(
+    dataset: Dataset, config: SvmConfig, masks: Sequence[np.ndarray], seeds: Sequence[int]
 ) -> list[SvmModel]:
-    """``train_ova`` for several feature masks over the same rows.
+    """One one-vs-all model per feature mask, all over the same rows.
 
-    Model j has the planes ``train_ova`` trains on the columns ``masks[j]``
-    selects under ``seeds[j]``, bit for bit: each (mask, class) plane keeps
-    its own seed, per-epoch permutation and best epoch, and all planes
-    share the step counter. They train together, one ``hinge_epoch_batch``
-    call per epoch. Each model carries its mask.
+    Model j has one plane per class present in the data (target class +1,
+    rest -1), trained on the columns ``masks[j]`` selects; the plane of
+    class k is shuffled under ``derive_seed(seeds[j], "ova", k)``. Classes
+    absent from the data get no plane and never win. Each model carries
+    its mask.
     """
     config.validate()
     masks = [np.asarray(mask, dtype=bool) for mask in masks]
     if len(seeds) != len(masks):
         raise TrainingError(f"{len(masks)} masks but {len(seeds)} seeds")
-    if any(mask.shape != (dataset.n_features,) or not mask.any() for mask in masks):
-        raise TrainingError(f"every mask must be a non-empty {dataset.n_features}-bit mask")
-    present = [int(k) for k in _present_classes(dataset)]
-    n = dataset.n_rows
-    lam, t0 = _schedule(config, n)
+    if not masks or any(mask.shape != (dataset.n_features,) or not mask.any() for mask in masks):
+        raise TrainingError(f"need one or more non-empty {dataset.n_features}-bit masks")
+    present = [int(k) for k in np.unique(dataset.labels)]
+    if len(present) < 2:
+        raise TrainingError("one-vs-all training needs at least two classes")
     # Plane p = j * len(present) + i trains class present[i] under masks[j].
     plan = [(j, k) for j in range(len(masks)) for k in present]
-    x = np.ascontiguousarray(dataset.rows.T)
     y = np.where(dataset.labels == np.array([k for _, k in plan])[:, None], 1.0, -1.0)
-    selected = np.stack([masks[j] for j, _ in plan], axis=1)
-    rngs = [np.random.default_rng(derive_seed(seeds[j], "ova", k)) for j, k in plan]
-    order = np.empty((len(plan), n), dtype=np.int64)
-    w = np.zeros(selected.shape)
-    b = np.zeros(len(plan))
-    t = 0
-    best: list[tuple[float, Hyperplane] | None] = [None] * len(plan)
-    for _ in range(config.epochs):
-        for p, rng in enumerate(rngs):
-            order[p] = rng.permutation(n)
-        t = hinge_epoch_batch(x, y, order, selected, w, b, lam, t0, t)
-        # The objective of each plane is train_binary's, on the same
-        # projected rows; one mask's projection is held at a time.
-        for j, mask in enumerate(masks):
-            rows = dataset.rows[:, mask]
-            for p in range(j * len(present), (j + 1) * len(present)):
-                plane = Hyperplane(w[mask, p], b[p])
-                objective = hinge_objective(rows, y[p], plane, config.c)
-                if best[p] is None or objective < best[p][0]:
-                    best[p] = (objective, plane)
+    planes = _train_planes(
+        dataset.rows, y, masks, [j for j, _ in plan],
+        [derive_seed(seeds[j], "ova", k) for j, k in plan], config,
+    )
     models = []
     for j, mask in enumerate(masks):
-        planes: list[Hyperplane | None] = [None] * len(dataset.class_names)
+        by_class: list[Hyperplane | None] = [None] * len(dataset.class_names)
         for i, k in enumerate(present):
-            planes[k] = best[j * len(present) + i][1]
-        models.append(SvmModel(tuple(dataset.class_names), tuple(planes), mask))
+            by_class[k] = planes[j * len(present) + i]
+        models.append(SvmModel(tuple(dataset.class_names), tuple(by_class), mask))
     return models
 
 

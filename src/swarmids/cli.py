@@ -74,11 +74,20 @@ class RunConfig:
     plots: bool = True
 
     def __post_init__(self):
-        for name in ("subsample", "threads", "step_offset"):
+        for name in ("subsample", "threads"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.folds < 2:
             raise ConfigError(f"folds must be at least 2, got {self.folds}")
+        # Reject at construction what training or the swarm would reject
+        # late (after a prepare, or once per swarm member) or never.
+        svm = self.svm_config(0)
+        svm.validate()
+        try:
+            replace(svm, epochs=self.fitness_epochs).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"fitness_epochs: {exc}") from None
+        self.goa_config(0).validate()
 
     def goa_config(self, seed: int, dim: int = len(FEATURE_NAMES)) -> GoaConfig:
         return GoaConfig(

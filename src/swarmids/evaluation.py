@@ -266,10 +266,7 @@ def _run_fold(
     goa = replace(goa_config, dim=train_ds.n_features, seed=derive_seed(fold_seed, "goa"))
     result = run(objective, goa)
 
-    final_config = replace(svm_config, seed=derive_seed(fold_seed, "svm"))
-    model = train_ova(
-        project_features(train_ds, result.best_mask), final_config, mask=result.best_mask
-    )
+    (model,) = train_ova(train_ds, svm_config, [result.best_mask], [derive_seed(fold_seed, "svm")])
     if audit is not None:
         audit("final_train", fold, train_idx)
     predictions = predict(model, project_features(test_ds, result.best_mask).rows)

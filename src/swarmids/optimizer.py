@@ -40,6 +40,10 @@ class GoaConfig:
             raise ConfigError("dim must be at least 1")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
+        if not self.fitness_delta_stop >= 0:
+            raise ConfigError(
+                f"fitness_delta_stop must not be negative, got {self.fitness_delta_stop}"
+            )
         if not self.c_min < self.c_max:
             raise ConfigError("c_min must be strictly below c_max")
         for name in ("swap_prob", "reversion_prob"):

@@ -13,11 +13,11 @@ where r_tp and r_e come from the attack-pooled binary confusion
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, IO, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .classifier import SvmConfig, SvmModel, predict, train_ova, train_ova_many
+from .classifier import SvmConfig, SvmModel, predict, train_ova
 from .confusion import ConfusionCounts, binary_attack_confusion, tpr
 from .dataset import Dataset, stratified_sample_indices
 from .errors import DataError
@@ -62,19 +62,13 @@ def error_rate(counts: ConfusionCounts) -> float:
 
 
 def mask_fitness(
-    mask: np.ndarray,
-    fit_ds: Dataset,
-    val_ds: Dataset,
-    svm_config: SvmConfig,
-    train_fn: Callable[[Dataset, SvmConfig], SvmModel] | None = None,
+    mask: np.ndarray, fit_ds: Dataset, val_ds: Dataset, svm_config: SvmConfig
 ) -> FitnessBreakdown:
-    """Train on the fit view, score on the validation view, combine.
-
-    ``train_fn`` may substitute the classifier (frozen stubs in tests).
-    """
+    """Train on the fit view under ``mask`` and seed ``svm_config.seed``,
+    score on the validation view, combine."""
     mask = np.asarray(mask, dtype=bool)
-    trainer = train_ova if train_fn is None else train_fn
-    return _score(mask, trainer(project_features(fit_ds, mask), svm_config), val_ds)
+    (model,) = train_ova(fit_ds, svm_config, [mask], [svm_config.seed])
+    return _score(mask, model, val_ds)
 
 
 def _score(mask: np.ndarray, model: SvmModel, val_ds: Dataset) -> FitnessBreakdown:
@@ -115,7 +109,7 @@ class WrapperObjective:
     evaluation call: bitstring, r_tp, r_e, n_f, fitness.
 
     ``many(masks)`` scores a whole population: the distinct uncached masks
-    train together (``train_ova_many``), then every mask goes through
+    train together (one ``train_ova`` call), then every mask goes through
     ``breakdown`` in order, so values, trace lines and ``evaluations`` are
     those of one call per mask.
     """
@@ -171,7 +165,7 @@ class WrapperObjective:
                 new.setdefault(bits, np.asarray(mask, dtype=bool))
         if new:
             seeds = [self._seed(bits) for bits in new]
-            models = train_ova_many(self.fit_ds, list(new.values()), self.svm_config, seeds)
+            models = train_ova(self.fit_ds, self.svm_config, list(new.values()), seeds)
             for (bits, mask), model in zip(new.items(), models):
                 self._cache[bits] = _score(mask, model, self.val_ds)
             self.evaluations += len(new)

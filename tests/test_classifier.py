@@ -1,7 +1,5 @@
 """Linear SVM training, decision geometry, and one-vs-all."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,10 @@ from swarmids.classifier import (
     predict,
     train_binary,
     train_ova,
-    train_ova_many,
 )
 from swarmids.dataset import Dataset
 from swarmids.errors import ConfigError, TrainingError
+from swarmids.seeds import derive_seed
 
 
 def _two_point_toy():
@@ -165,9 +163,15 @@ def _five_class_dataset(seed=0, n_per_class=30):
     return Dataset(np.vstack(rows), np.array(labels), ("A", "B", "C", "D", "E"))
 
 
+def _ova(dataset, config):
+    """The one-vs-all model of all columns under ``config.seed``."""
+    (model,) = train_ova(dataset, config, [np.ones(dataset.n_features, dtype=bool)], [config.seed])
+    return model
+
+
 class TestOneVsAll:
     def test_five_classes_five_planes(self):
-        model = train_ova(_five_class_dataset(), SvmConfig(epochs=10, seed=0))
+        model = _ova(_five_class_dataset(), SvmConfig(epochs=10, seed=0))
         assert len(model.planes) == 5
         assert all(p is not None for p in model.planes)
 
@@ -175,7 +179,7 @@ class TestOneVsAll:
         ds = _five_class_dataset()
         keep = ds.labels < 2
         two = Dataset(ds.rows[keep], ds.labels[keep], ds.class_names)
-        model = train_ova(two, SvmConfig(epochs=20, seed=1))
+        model = _ova(two, SvmConfig(epochs=20, seed=1))
         values = decision_values(model, two.rows)
         predictions = predict(model, two.rows)
         assert np.array_equal(predictions, np.argmax(values, axis=1))
@@ -185,7 +189,7 @@ class TestOneVsAll:
         ds = _five_class_dataset()
         keep = ds.labels != 2
         partial = Dataset(ds.rows[keep], ds.labels[keep], ds.class_names)
-        model = train_ova(partial, SvmConfig(epochs=10, seed=2))
+        model = _ova(partial, SvmConfig(epochs=10, seed=2))
         assert model.planes[2] is None
         predictions = predict(model, ds.rows)
         assert not np.any(predictions == 2)
@@ -194,13 +198,13 @@ class TestOneVsAll:
         ds = _five_class_dataset()
         keep = ds.labels == 0
         with pytest.raises(TrainingError):
-            train_ova(Dataset(ds.rows[keep], ds.labels[keep], ds.class_names), SvmConfig())
+            _ova(Dataset(ds.rows[keep], ds.labels[keep], ds.class_names), SvmConfig())
 
     def test_training_accuracy_on_separated_clusters(self):
         # The middle cluster is not linearly separable one-vs-rest, so a
         # large C is needed to push past its hinge losses.
         ds = _five_class_dataset()
-        model = train_ova(ds, SvmConfig(c=50.0, epochs=100, seed=3))
+        model = _ova(ds, SvmConfig(c=50.0, epochs=100, seed=3))
         accuracy = np.mean(predict(model, ds.rows) == ds.labels)
         assert accuracy >= 0.97
 
@@ -216,6 +220,9 @@ def _signed_dataset(seed=0, features=6, absent=()):
 
 
 class TestTrainOvaMany:
+    """``train_ova`` over several masks (one batched kernel call per epoch)
+    against the same masks one at a time (the per-plane kernel)."""
+
     @pytest.mark.parametrize("absent", [(), (3,)], ids=["all-classes", "class-absent"])
     @pytest.mark.parametrize("step_offset", [None, 0.0, 7.0])
     def test_equals_train_ova_per_mask(self, absent, step_offset):
@@ -224,12 +231,11 @@ class TestTrainOvaMany:
                  ([1, 1, 1, 1, 1, 1], [0, 1, 0, 0, 1, 1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 1])]
         seeds = [11, 12, 13, 14]
         config = SvmConfig(c=2.0, epochs=4, step_offset=step_offset)
-        models = train_ova_many(ds, masks, config, seeds)
+        models = train_ova(ds, config, masks, seeds)
         assert len(models) == len(masks)
         for mask, seed, model in zip(masks, seeds, models):
-            projected = Dataset(ds.rows[:, mask], ds.labels, ds.class_names)
-            expected = train_ova(projected, replace(config, seed=seed))
-            assert np.array_equal(model.mask, mask)
+            (expected,) = train_ova(ds, config, [mask], [seed])
+            assert np.array_equal(model.mask, mask) and np.array_equal(expected.mask, mask)
             for got, want in zip(model.planes, expected.planes):
                 if want is None:
                     assert got is None
@@ -238,27 +244,32 @@ class TestTrainOvaMany:
         assert (models[2].planes[3] is None) == bool(absent)
 
     def test_one_mask(self):
+        # One mask trains each class plane as train_binary does on the
+        # projected columns, under the per-class seed.
         ds = _signed_dataset(seed=1)
         mask = np.array([0, 0, 1, 0, 1, 0], dtype=bool)
-        (model,) = train_ova_many(ds, [mask], SvmConfig(epochs=3), [5])
-        expected = train_ova(Dataset(ds.rows[:, mask], ds.labels, ds.class_names),
-                             SvmConfig(epochs=3, seed=5))
-        assert all(g.w.tobytes() == e.w.tobytes() and g.b == e.b
-                   for g, e in zip(model.planes, expected.planes))
+        (model,) = train_ova(ds, SvmConfig(epochs=3), [mask], [5])
+        for k, plane in enumerate(model.planes):
+            labels = np.where(ds.labels == k, 1.0, -1.0)
+            expected = train_binary(ds.rows[:, mask], labels,
+                                    SvmConfig(epochs=3, seed=derive_seed(5, "ova", k)))
+            assert plane.w.tobytes() == expected.w.tobytes() and plane.b == expected.b
 
     @pytest.mark.parametrize("masks, seeds", [
         ([np.ones(5, dtype=bool)], [1]),
         ([np.zeros(6, dtype=bool)], [1]),
         ([np.ones(6, dtype=bool)], [1, 2]),
-    ], ids=["wrong-length", "empty", "seed-count"])
+        ([], []),
+    ], ids=["wrong-length", "empty", "seed-count", "no-masks"])
     def test_bad_masks_rejected(self, masks, seeds):
         with pytest.raises(TrainingError):
-            train_ova_many(_signed_dataset(), masks, SvmConfig(epochs=1), seeds)
+            train_ova(_signed_dataset(), SvmConfig(epochs=1), masks, seeds)
 
     def test_single_class_rejected(self):
         ds = _signed_dataset(absent=(1, 2, 3, 4))
-        with pytest.raises(TrainingError):
-            train_ova_many(ds, [np.ones(6, dtype=bool)], SvmConfig(epochs=1), [0])
+        for count in (1, 2):
+            with pytest.raises(TrainingError):
+                train_ova(ds, SvmConfig(epochs=1), [np.ones(6, dtype=bool)] * count, [0] * count)
 
 
 class TestPredict:
@@ -280,7 +291,7 @@ class TestPredict:
         x, y = _two_point_toy()
         labels = (y > 0).astype(np.int64)
         ds = Dataset(x, labels, ("neg", "pos"))
-        model = train_ova(ds, SvmConfig(epochs=120, seed=0))
+        model = _ova(ds, SvmConfig(epochs=120, seed=0))
         assert predict(model, np.array([5.0, 0.0])) == 1
 
     def test_scale_invariance(self):

@@ -32,6 +32,13 @@ def run_cli():
     return invoke
 
 
+# Training and swarm values that RunConfig must reject before a stage runs.
+NONSENSE = [
+    ("fitness_epochs", "0"), ("epochs", "0"), ("svm_c", "0"), ("svm_c", "nan"),
+    ("svm_c", "inf"), ("delta_stop", "nan"), ("delta_stop", "-1"),
+]
+
+
 class TestConfigFile:
     def test_round_trip(self):
         config = RunConfig(data="x.csv", seed=9, plots=False, c_min=2e-6)
@@ -60,6 +67,14 @@ class TestConfigFile:
             RunConfig(**{field: -1})
         with pytest.raises(ConfigError, match=field):
             config_from_text(f"{field}=-3\n")
+
+    @pytest.mark.parametrize("field, value", NONSENSE)
+    def test_nonsense_training_value_rejected(self, field, value):
+        kind = type(getattr(RunConfig(), field))
+        with pytest.raises(ConfigError):
+            RunConfig(**{field: kind(value)})
+        with pytest.raises(ConfigError):
+            config_from_text(f"{field}={value}\n")
 
 
 class TestPrepare:
@@ -234,6 +249,20 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"out={out}\nfolds={folds}\n")
         assert run_cli(["evaluate", "--config", str(cfg)]) == 1
+        assert not (out / "evaluate_report.json").exists()
+
+
+    @pytest.mark.parametrize("field, value", NONSENSE)
+    def test_nonsense_training_value_exits_1(self, synth_file, tmp_path, run_cli, field, value):
+        out = tmp_path / "run"
+        assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        flag = "--" + field.replace("_", "-")
+        for stage in ("prepare", "select", "evaluate", "pipeline"):
+            assert run_cli([stage, *_args(synth_file, out, flag, value)]) == 1, stage
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"out={out}\n{field}={value}\n")
+        assert run_cli(["select", "--config", str(cfg)]) == 1
+        assert not (out / "select_mask.txt").exists()
         assert not (out / "evaluate_report.json").exists()
 
 

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import sysconfig
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -364,9 +363,10 @@ def test_compiled_population(backends, batch_backends, synth_dataset, monkeypatc
     assert results[0][2] == 8
 
 
-def test_train_ova_many_on_every_backend(backends, batch_backends, monkeypatch):
-    # Batched training equals per-mask train_ova bit for bit on every
-    # backend, with negative features and a class absent from the rows.
+def test_train_ova_on_every_backend(backends, batch_backends, monkeypatch):
+    # Each mask trained alone (per-plane kernel) equals the same mask
+    # trained inside a several-mask call (batched kernel), bit for bit, on
+    # every backend, with negative features and a class absent from the rows.
     rng = np.random.default_rng(8)
     labels = np.array([0, 1, 2, 4] * 30)
     rows = rng.normal(size=(120, 9)) + labels[:, None] * 0.4
@@ -374,19 +374,19 @@ def test_train_ova_many_on_every_backend(backends, batch_backends, monkeypatch):
     masks = [rng.random(9) < 0.5 for _ in range(5)]
     for mask in masks:
         mask[0] = True
-    config = classifier.SvmConfig(epochs=3)
-    planes = []
-    for name in backends:
-        monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
-        monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
-        for batched in (True, False):
-            if batched:
-                models = classifier.train_ova_many(ds, masks, config, range(5))
-            else:
-                models = [classifier.train_ova(Dataset(rows[:, m], labels), replace(config, seed=s))
-                          for m, s in zip(masks, range(5))]
-            planes.append([[None if p is None else (p.w.tobytes(), p.b) for p in model.planes]
-                           for model in models])
-    assert all(model[3] is None for model in planes[0])
-    assert all(other == planes[0] for other in planes[1:])
-    assert len(planes) == 2 * len(backends)
+    first_runs = []
+    for step_offset in (None, 0.0, 7.0):
+        config = classifier.SvmConfig(epochs=3, step_offset=step_offset)
+        runs = []
+        for name in backends:
+            monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
+            monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
+            alone = [classifier.train_ova(ds, config, [m], [s])[0] for s, m in enumerate(masks)]
+            for models in (classifier.train_ova(ds, config, masks, range(5)), alone):
+                assert all(np.array_equal(model.mask, m) for model, m in zip(models, masks))
+                runs.append([[None if p is None else (p.w.tobytes(), p.b) for p in model.planes]
+                             for model in models])
+        assert len(runs) == 2 * len(backends) and all(run == runs[0] for run in runs)
+        assert all(model[3] is None for model in runs[0])
+        first_runs.append(runs[0])
+    assert first_runs[0] != first_runs[2]  # the step offset reaches the kernel

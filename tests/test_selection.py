@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmids.classifier import Hyperplane, SvmConfig, SvmModel
+from swarmids import selection
+from swarmids.classifier import Hyperplane, SvmConfig, SvmModel, train_ova
 from swarmids.confusion import ConfusionCounts, binary_attack_confusion, tpr
 from swarmids.dataset import Dataset
 from swarmids.errors import DataError
@@ -136,32 +137,55 @@ class TestBinaryPooling:
 
 
 def _stub_trainer(decisions):
-    def train(dataset, config):
-        planes = tuple(
-            Hyperplane(np.zeros(dataset.n_features), -d) for d in decisions
-        )
-        return SvmModel(tuple(dataset.class_names), planes, np.ones(dataset.n_features, dtype=bool))
+    def train(dataset, config, masks, seeds):
+        return [
+            SvmModel(
+                tuple(dataset.class_names),
+                tuple(Hyperplane(np.zeros(int(mask.sum())), -d) for d in decisions),
+                mask,
+            )
+            for mask in masks
+        ]
 
     return train
 
 
 class TestMaskFitness:
-    def test_stub_classifier_makes_fitness_pure_in_mask(self, small_dataset):
+    def test_stub_classifier_makes_fitness_pure_in_mask(self, small_dataset, monkeypatch):
         fit_idx, val_idx = fitness_split(small_dataset.labels, seed=1)
         fit_ds, val_ds = small_dataset.take(fit_idx), small_dataset.take(val_idx)
-        trainer = _stub_trainer([0.0, 1.0, 0.0, 0.0, 0.0])  # always predicts class 1
+        # Always predicts class 1.
+        monkeypatch.setattr(selection, "train_ova", _stub_trainer([0.0, 1.0, 0.0, 0.0, 0.0]))
         config = SvmConfig(epochs=1, seed=0)
         masks = []
         for popcount in (5, 20, 41):
             mask = np.zeros(41, dtype=bool)
             mask[:popcount] = True
             masks.append(mask)
-        values = [mask_fitness(m, fit_ds, val_ds, config, train_fn=trainer) for m in masks]
-        again = [mask_fitness(m, fit_ds, val_ds, config, train_fn=trainer) for m in masks]
+        values = [mask_fitness(m, fit_ds, val_ds, config) for m in masks]
+        again = [mask_fitness(m, fit_ds, val_ds, config) for m in masks]
         assert values == again
         # With predictions frozen, only the feature-count term moves.
         assert values[0].r_tp == values[2].r_tp
         assert values[0].fitness > values[1].fitness > values[2].fitness
+
+    def test_model_carries_the_full_mask(self, small_dataset, monkeypatch):
+        # The model mask_fitness scores carries the 41-bit mask it was
+        # trained under, as the models of a batched population do.
+        trained = []
+
+        def spy(*args, **kwargs):
+            trained.append(train_ova(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(selection, "train_ova", spy)
+        mask = np.zeros(41, dtype=bool)
+        mask[[0, 3, 17, 40]] = True
+        fit_idx, val_idx = fitness_split(small_dataset.labels, seed=2)
+        mask_fitness(mask, small_dataset.take(fit_idx), small_dataset.take(val_idx),
+                     SvmConfig(epochs=2, seed=4))
+        (models,) = trained
+        assert [model.mask.tolist() for model in models] == [mask.tolist()]
 
     def test_degenerate_validation_sets_flag(self):
         rows = np.random.default_rng(0).uniform(0, 1, (40, 41))
