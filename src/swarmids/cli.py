@@ -127,11 +127,10 @@ def _coerce(name: str, kind: type, raw: str):
         raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
-def config_from_text(text: str) -> RunConfig:
-    """Parse a flat key=value config; unknown keys are hard errors. Each
-    value takes the type of its field's default."""
-    defaults = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+def _config_values(text: str) -> dict:
+    """Parse a flat key=value config into field values; unknown keys are
+    hard errors. Each value takes the type of its field's default."""
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -141,10 +140,15 @@ def config_from_text(text: str) -> RunConfig:
         key = key.strip()
         if not sep:
             raise ConfigError(f"config line is not key=value: {raw!r}")
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"unknown config key: {key!r}")
-        values[key] = _coerce(key, type(getattr(defaults, key)), value.strip())
-    return replace(defaults, **values)
+        values[key] = _coerce(key, kinds[key], value.strip())
+    return values
+
+
+def config_from_text(text: str) -> RunConfig:
+    """The validated ``RunConfig`` a key=value config describes."""
+    return RunConfig(**_config_values(text))
 
 
 def config_digest(config: RunConfig) -> str:
@@ -434,21 +438,19 @@ def build_parser() -> _Parser:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Config-file values overridden by explicit flags, validated once."""
+    values = {}
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        config = config_from_text(path.read_text(encoding="utf-8"))
-    else:
-        config = RunConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in _FLAG_FIELDS
-        if getattr(args, name) is not None
-    }
+        values = _config_values(path.read_text(encoding="utf-8"))
+    values.update(
+        (name, getattr(args, name)) for name in _FLAG_FIELDS if getattr(args, name) is not None
+    )
     if args.no_plots:
-        overrides["plots"] = False
-    return replace(config, **overrides)
+        values["plots"] = False
+    return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

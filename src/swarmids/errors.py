@@ -34,10 +34,12 @@ class TrainingError(SwarmidsError):
 
 
 class ObjectiveError(SwarmidsError):
-    """Fitness callback failed; carries the offending mask bitstring."""
+    """Fitness callback failed; carries the offending mask bitstring, or
+    None when the population's result as a whole is wrong."""
 
-    def __init__(self, mask_bits: str, cause: BaseException):
-        super().__init__(f"objective failed for mask {mask_bits}: {cause}")
+    def __init__(self, mask_bits: str | None, cause: object):
+        subject = "the population" if mask_bits is None else f"mask {mask_bits}"
+        super().__init__(f"objective failed for {subject}: {cause}")
         self.mask_bits = mask_bits
 
 

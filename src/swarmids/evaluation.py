@@ -36,7 +36,7 @@ from .dataset import (
     map_label,
     stratified_fold_indices,
 )
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .optimizer import GoaConfig, mask_to_bitstring, run
 from .seeds import derive_seed
 from .selection import WrapperObjective, project_features
@@ -304,11 +304,14 @@ def cross_validate(
     only; feature selection runs on the training rows (with its internal
     fit/validation split); the final model trains with full epochs on all
     training rows under the selected mask; the held-out fold is scored.
-    Folds use disjoint derived seeds, so results do not depend on thread
-    count. ``audit`` receives (stage, fold, absolute row indices).
+    Folds run on a pool of ``threads`` threads and use disjoint derived
+    seeds, so results do not depend on the thread count. ``audit``
+    receives (stage, fold, absolute row indices).
     """
     if k < 2:
         raise DataError("cross-validation needs k >= 2")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     labels = np.fromiter((map_label(r.label) for r in records), dtype=np.int64, count=len(records))
     folds = stratified_fold_indices(labels, k, derive_seed(seed, "folds"))
 
@@ -319,12 +322,8 @@ def cross_validate(
             goa_config, svm_config, seed, fitness_epochs, audit,
         )
 
-    work = list(enumerate(folds))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fold_reports = list(pool.map(job, work))
-    else:
-        fold_reports = [job(item) for item in work]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        fold_reports = list(pool.map(job, enumerate(folds)))
 
     macro_values = {
         metric: np.array([f.metrics.macro[metric] for f in fold_reports])

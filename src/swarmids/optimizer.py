@@ -54,12 +54,11 @@ class GoaConfig:
 
 @dataclass
 class Swarm:
-    """Population state: continuous positions, their binary masks, last
-    fitness values, and the best-so-far record."""
+    """Population state: continuous positions, their binary masks, and the
+    best-so-far record."""
 
     positions: np.ndarray
     masks: np.ndarray
-    fitness: np.ndarray
     best_position: np.ndarray | None = None
     best_mask: np.ndarray | None = None
     best_fitness: float = -np.inf
@@ -150,13 +149,12 @@ def reversion_mutation(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 
 def init_swarm(config: GoaConfig, rng: np.random.Generator | None = None) -> Swarm:
-    """Uniform random positions in the unit box; masks binarized; fitness unset."""
+    """Uniform random positions in the unit box; masks binarized."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     positions = rng.uniform(0.0, 1.0, (config.population_size, config.dim))
     masks = np.stack([binarize(p, rng) for p in positions])
-    fitness = np.full(config.population_size, np.nan)
-    return Swarm(positions=positions, masks=masks, fitness=fitness, c=config.c_max)
+    return Swarm(positions=positions, masks=masks, c=config.c_max)
 
 
 def social_step(
@@ -214,34 +212,35 @@ def update_positions(
     return swarm
 
 
-def _evaluate_one(objective: Callable[[np.ndarray], float], mask: np.ndarray) -> float:
-    try:
-        return float(objective(mask.copy()))
-    except Exception as exc:  # noqa: BLE001 - re-raised with context
-        raise ObjectiveError(mask_to_bitstring(mask), exc) from exc
+Objective = Callable[[Sequence[np.ndarray]], Sequence[float]]
 
 
-def _evaluate(objective: Callable[[np.ndarray], float], masks: np.ndarray) -> list[float]:
-    """Fitness of every member, in member order: one ``objective.many``
-    call when the objective has that method, else one call per member."""
-    many = getattr(objective, "many", None)
-    if many is None:
-        return [_evaluate_one(objective, mask) for mask in masks]
+def _evaluate(objective: Objective, masks: np.ndarray) -> list[float]:
+    """Fitness of every member, in member order, from one objective call."""
     try:
-        return [float(value) for value in many([mask.copy() for mask in masks])]
+        values = [float(value) for value in objective([mask.copy() for mask in masks])]
     except Exception as exc:  # noqa: BLE001 - re-raised with context
-        # Name the member that fails on its own, as one call per member would.
+        # Name the member that fails on its own.
         for mask in masks:
-            _evaluate_one(objective, mask)
+            try:
+                objective([mask.copy()])
+            except Exception as member_exc:  # noqa: BLE001 - re-raised with context
+                raise ObjectiveError(mask_to_bitstring(mask), member_exc) from member_exc
         raise ObjectiveError(mask_to_bitstring(masks[0]), exc) from exc
+    if len(values) != len(masks):
+        raise ObjectiveError(None, f"{len(values)} values for {len(masks)} masks")
+    return values
 
 
-def run(objective: Callable[[np.ndarray], float], config: GoaConfig) -> GoaResult:
-    """Maximize ``objective(mask)`` over non-empty binary masks.
+def run(objective: Objective, config: GoaConfig) -> GoaResult:
+    """Maximize ``objective`` over non-empty binary masks.
 
-    An objective with a ``many(masks) -> values`` method scores each
-    iteration's population in one call; it must return what one call per
-    mask would, in member order.
+    ``objective(masks) -> values`` scores a population: it gets copies of
+    the members' masks in member order and returns one fitness per mask,
+    in that order. ``run`` calls it once per iteration. If the call
+    raises, each member is scored alone so the ``ObjectiveError`` names a
+    mask that fails; a result of the wrong length is an ``ObjectiveError``
+    too.
 
     Stops at ``max_iterations`` or when the best fitness improves by less
     than ``fitness_delta_stop`` between consecutive iterations (checked
@@ -258,7 +257,6 @@ def run(objective: Callable[[np.ndarray], float], config: GoaConfig) -> GoaResul
         swarm.iteration = t
         swarm.c = update_c(t - 1, config)
         for i, value in enumerate(_evaluate(objective, swarm.masks)):
-            swarm.fitness[i] = value
             # >= lets the incumbent drift across equal-fitness plateaus.
             if value >= swarm.best_fitness:
                 swarm.best_fitness = value

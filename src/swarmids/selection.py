@@ -17,7 +17,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .classifier import SvmConfig, SvmModel, predict, train_ova
+from .classifier import SvmConfig, predict, train_ova
 from .confusion import ConfusionCounts, binary_attack_confusion, tpr
 from .dataset import Dataset, stratified_sample_indices
 from .errors import DataError
@@ -62,30 +62,31 @@ def error_rate(counts: ConfusionCounts) -> float:
 
 
 def mask_fitness(
-    mask: np.ndarray, fit_ds: Dataset, val_ds: Dataset, svm_config: SvmConfig
-) -> FitnessBreakdown:
-    """Train on the fit view under ``mask`` and seed ``svm_config.seed``,
-    score on the validation view, combine."""
-    mask = np.asarray(mask, dtype=bool)
-    (model,) = train_ova(fit_ds, svm_config, [mask], [svm_config.seed])
-    return _score(mask, model, val_ds)
-
-
-def _score(mask: np.ndarray, model: SvmModel, val_ds: Dataset) -> FitnessBreakdown:
-    """Fitness of a model trained under ``mask``, on the validation view."""
-    predictions = predict(model, project_features(val_ds, mask).rows)
-    counts = binary_attack_confusion(val_ds.labels, predictions)
-    degenerate = (counts.tp + counts.fn) == 0
-    r_tp = tpr(counts)
-    r_e = error_rate(counts)
-    n_f = int(mask.sum())
-    return FitnessBreakdown(
-        r_tp=r_tp,
-        r_e=r_e,
-        n_f=n_f,
-        fitness=fitness_value(r_tp, r_e, n_f, mask.size),
-        degenerate=degenerate,
-    )
+    masks: Sequence[np.ndarray],
+    seeds: Sequence[int],
+    fit_ds: Dataset,
+    val_ds: Dataset,
+    svm_config: SvmConfig,
+) -> list[FitnessBreakdown]:
+    """Train one model per mask on the fit view (``masks[j]`` under
+    ``seeds[j]``, all in one ``train_ova`` call), score each on the
+    validation view, combine."""
+    masks = [np.asarray(mask, dtype=bool) for mask in masks]
+    out = []
+    for mask, model in zip(masks, train_ova(fit_ds, svm_config, masks, seeds)):
+        predictions = predict(model, project_features(val_ds, mask).rows)
+        counts = binary_attack_confusion(val_ds.labels, predictions)
+        r_tp = tpr(counts)
+        r_e = error_rate(counts)
+        n_f = int(mask.sum())
+        out.append(FitnessBreakdown(
+            r_tp=r_tp,
+            r_e=r_e,
+            n_f=n_f,
+            fitness=fitness_value(r_tp, r_e, n_f, mask.size),
+            degenerate=(counts.tp + counts.fn) == 0,
+        ))
+    return out
 
 
 def fitness_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,20 +99,18 @@ def fitness_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray
 
 
 class WrapperObjective:
-    """Callable objective mapping masks to wrapper fitness.
+    """Population objective mapping masks to wrapper fitness.
 
     The fit/validation split is fixed at construction so fitness values
     are comparable across masks. Each distinct mask trains under a seed
     derived from (run_seed, bitstring), so results do not depend on
     evaluation order; repeat evaluations are served from a cache.
+    ``objective(masks)`` trains the distinct uncached masks together (one
+    ``mask_fitness`` call), then serves every mask through ``breakdown``
+    in order.
 
-    ``trace`` (any object with ``write``) receives one CSV line per
-    evaluation call: bitstring, r_tp, r_e, n_f, fitness.
-
-    ``many(masks)`` scores a whole population: the distinct uncached masks
-    train together (one ``train_ova`` call), then every mask goes through
-    ``breakdown`` in order, so values, trace lines and ``evaluations`` are
-    those of one call per mask.
+    ``trace`` (any object with ``write``) receives one CSV line per mask
+    scored, cache hits included: bitstring, r_tp, r_e, n_f, fitness.
     """
 
     TRACE_HEADER = "mask,r_tp,r_e,n_f,fitness\n"
@@ -137,36 +136,31 @@ class WrapperObjective:
         if trace is not None:
             trace.write(self.TRACE_HEADER)
 
-    def _seed(self, bits: str) -> int:
-        return derive_seed(self.run_seed, "mask", bits)
+    def _fill(self, masks: Sequence[np.ndarray]) -> None:
+        """Train and cache the distinct masks not in the cache yet."""
+        new: dict[str, np.ndarray] = {}
+        for mask in masks:
+            bits = mask_to_bitstring(mask)
+            if bits not in self._cache:
+                new.setdefault(bits, mask)
+        if new:
+            seeds = [derive_seed(self.run_seed, "mask", bits) for bits in new]
+            scored = mask_fitness(
+                list(new.values()), seeds, self.fit_ds, self.val_ds, self.svm_config
+            )
+            self._cache.update(zip(new, scored))
+            self.evaluations += len(new)
 
     def breakdown(self, mask: np.ndarray) -> FitnessBreakdown:
+        self._fill([mask])
         bits = mask_to_bitstring(mask)
-        result = self._cache.get(bits)
-        if result is None:
-            config = replace(self.svm_config, seed=self._seed(bits))
-            result = mask_fitness(mask, self.fit_ds, self.val_ds, config)
-            self.evaluations += 1
-            self._cache[bits] = result
+        result = self._cache[bits]
         if self.trace is not None:
             self.trace.write(
                 f"{bits},{result.r_tp!r},{result.r_e!r},{result.n_f},{result.fitness!r}\n"
             )
         return result
 
-    def __call__(self, mask: np.ndarray) -> float:
-        return self.breakdown(mask).fitness
-
-    def many(self, masks: Sequence[np.ndarray]) -> list[float]:
-        new: dict[str, np.ndarray] = {}
-        for mask in masks:
-            bits = mask_to_bitstring(mask)
-            if bits not in self._cache:
-                new.setdefault(bits, np.asarray(mask, dtype=bool))
-        if new:
-            seeds = [self._seed(bits) for bits in new]
-            models = train_ova(self.fit_ds, self.svm_config, list(new.values()), seeds)
-            for (bits, mask), model in zip(new.items(), models):
-                self._cache[bits] = _score(mask, model, self.val_ds)
-            self.evaluations += len(new)
+    def __call__(self, masks: Sequence[np.ndarray]) -> list[float]:
+        self._fill(masks)
         return [self.breakdown(mask).fitness for mask in masks]

@@ -7,7 +7,7 @@ logic, fixed float formatting. Metadata is embedded as XML comments.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 WIDTH = 720
@@ -77,6 +77,26 @@ def _axes(lines: list[str], x_label: str, y_label: str) -> None:
     )
 
 
+def _y_grid(lines: list[str], lo: float, hi: float) -> Callable[[float], float]:
+    """Draw grid lines with y-tick labels for the range [lo, hi]; return
+    the map from a value in that range to its pixel row."""
+
+    def sy(v: float) -> float:
+        return HEIGHT - MARGIN_BOTTOM - (v - lo) / (hi - lo) * _PLOT_H
+
+    for tick in _nice_ticks(lo, hi):
+        y = sy(tick)
+        lines.append(
+            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{WIDTH - MARGIN_RIGHT}" '
+            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
+        )
+        lines.append(
+            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="12">{_fmt(tick)}</text>'
+        )
+    return sy
+
+
 def _y_scale(values: Sequence[float]) -> tuple[float, float]:
     lo = min(values)
     hi = max(values)
@@ -104,20 +124,8 @@ def line_chart(
     def sx(v: float) -> float:
         return MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * _PLOT_W
 
-    def sy(v: float) -> float:
-        return HEIGHT - MARGIN_BOTTOM - (v - y_lo) / (y_hi - y_lo) * _PLOT_H
-
     lines = _header(title, meta)
-    for tick in _nice_ticks(y_lo, y_hi):
-        y = sy(tick)
-        lines.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{WIDTH - MARGIN_RIGHT}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt(tick)}</text>'
-        )
+    sy = _y_grid(lines, y_lo, y_hi)
     for tick in _nice_ticks(x_lo, x_hi):
         x = sx(tick)
         lines.append(
@@ -149,20 +157,8 @@ def bar_chart(
         y_hi = y_lo + 1.0
     y_hi *= 1.08
 
-    def sy(v: float) -> float:
-        return HEIGHT - MARGIN_BOTTOM - (v - y_lo) / (y_hi - y_lo) * _PLOT_H
-
     lines = _header(title, meta)
-    for tick in _nice_ticks(y_lo, y_hi):
-        y = sy(tick)
-        lines.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{WIDTH - MARGIN_RIGHT}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt(tick)}</text>'
-        )
+    sy = _y_grid(lines, y_lo, y_hi)
     n = len(labels)
     slot = _PLOT_W / n
     bar_w = slot * 0.64

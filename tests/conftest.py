@@ -1,4 +1,9 @@
+import importlib.util
 import os
+import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -6,6 +11,52 @@ import pytest
 from swarmids.dataset import apply_normalize, encode, fit_encoding, fit_normalize, parse_kdd
 
 from _synth import make_kdd_csv
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _missing_toolchain():
+    """What building the extension needs and this machine lacks, or None."""
+    cc = (sysconfig.get_config_var("CC") or "").split()
+    if not cc or shutil.which(cc[0]) is None:
+        return f"C compiler {' '.join(cc)!r} not found"
+    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
+    if not header.is_file():
+        return f"{header} not found"
+    return None
+
+
+MISSING_TOOLCHAIN = _missing_toolchain()
+
+
+@pytest.fixture(scope="session")
+def build(tmp_path_factory):
+    """Run ``setup.py build_ext`` into a temp dir and load the result by path.
+
+    Returns ``(module or None, build output)``; a failed build is reported
+    by ``test_kernels.py::test_compiled_backend_built``.
+    """
+    if MISSING_TOOLCHAIN:
+        return None, MISSING_TOOLCHAIN
+    tmp = tmp_path_factory.mktemp("build_ext")
+    env = {k: v for k, v in os.environ.items() if k != "SWARMIDS_SKIP_EXT"}
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    log = proc.stdout + proc.stderr
+    built = sorted((tmp / "lib" / "swarmids" / "_kernels").glob("_hinge_sgd.*"))
+    if proc.returncode != 0 or not built:
+        return None, log
+    spec = importlib.util.spec_from_file_location("swarmids._kernels._hinge_sgd", built[0])
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        return None, f"{log}\n{exc!r}"
+    return module, log
 
 
 def nsl_kdd_train_path() -> Path | None:

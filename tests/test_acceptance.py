@@ -28,12 +28,33 @@ from swarmids.evaluation import (
     tnr,
     tpr,
 )
-from swarmids.optimizer import GoaConfig, run, social_step, update_c
-from swarmids.selection import WrapperObjective, fitness_value
+from swarmids import optimizer, selection
+from swarmids.optimizer import GoaConfig, social_step, update_c
+from swarmids.selection import fitness_value
 from swarmids.seeds import derive_seed
 
 from _synth import make_kdd_csv
 from conftest import nsl_kdd_train_path
+
+
+# The criteria call objectives one mask at a time; the optimizer scores
+# a whole population per call. These adapters keep the criteria as stated.
+def run(objective, config):
+    """``optimizer.run``: a WrapperObjective scores each population in one
+    call, as in the pipeline; any other objective scores mask by mask."""
+    if not isinstance(objective, selection.WrapperObjective):
+        per_mask = objective
+        objective = lambda masks: [per_mask(mask) for mask in masks]  # noqa: E731
+    return optimizer.run(objective, config)
+
+
+class WrapperObjective(selection.WrapperObjective):
+    """Also takes a single mask and returns its fitness."""
+
+    def __call__(self, masks):
+        if isinstance(masks, np.ndarray) and masks.ndim == 1:
+            return super().__call__([masks])[0]
+        return super().__call__(masks)
 
 
 def _report(number: int, description: str, passed: bool, detail: str = ""):

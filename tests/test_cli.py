@@ -1,11 +1,14 @@
 """CLI: subcommands, artifacts, exit codes, config round-trip, SVG output."""
 
 import json
+import shutil
 import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from swarmids import classifier
+from swarmids._kernels import _hinge_sgd_py
 from swarmids.cli import RunConfig, config_digest, config_from_text, config_to_text, main
 from swarmids.errors import ConfigError, DataWarning
 
@@ -170,6 +173,20 @@ class TestSelect:
         header = (out / "prepare_data.csv").read_text()
         assert "rows=200" in header
 
+    @pytest.mark.parametrize("key, bad, flag, good", [
+        ("svm_c", "0", "--svm-c", "1"), ("subsample", "-1", "--subsample", "200"),
+    ])
+    def test_flag_overrides_bad_config_value(self, synth_file, tmp_path, run_cli,
+                                             key, bad, flag, good):
+        # The file alone is rejected; the config is validated once, after
+        # the flags are merged, so a flag can repair it.
+        out = tmp_path / "run"
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(f"data={synth_file}\nout={out}\n{key}={bad}\n")
+        assert run_cli(["prepare", "--config", str(cfg)]) == 1
+        assert run_cli(["prepare", "--config", str(cfg), flag, good]) == 0
+        assert f"{key}={good}" in (out / "prepare_config.txt").read_text()
+
 
 class TestEvaluateAndPipeline:
     def test_pipeline_end_to_end(self, synth_file, tmp_path, run_cli):
@@ -200,6 +217,24 @@ class TestEvaluateAndPipeline:
         assert (out_a / "select_mask.txt").read_bytes() == (
             out_b / "select_mask.txt"
         ).read_bytes()
+
+    def test_artifacts_identical_on_both_backends(self, build, synth_file, tmp_path,
+                                                  run_cli, monkeypatch):
+        # Every canonical artifact (all but the timing sidecar) is the same
+        # byte for byte whether the twin or the compiled kernel trains.
+        if build[0] is None:
+            pytest.skip("compiled backend not built")
+        out = tmp_path / "run"
+        artifacts = []
+        for kernel in (_hinge_sgd_py, build[0]):
+            monkeypatch.setattr(classifier, "hinge_epoch", kernel.hinge_epoch)
+            monkeypatch.setattr(classifier, "hinge_epoch_batch", kernel.hinge_epoch_batch)
+            shutil.rmtree(out, ignore_errors=True)
+            assert run_cli(["pipeline", *_args(synth_file, out, "--threads", "2")]) == 0
+            artifacts.append({path.name: path.read_bytes() for path in out.iterdir()
+                              if path.name != "evaluate_timing.json"})
+        assert len(artifacts[0]) == 19
+        assert artifacts[0] == artifacts[1]
 
     def test_single_class_data_exits_3(self, tmp_path, run_cli):
         normal_only = make_kdd_csv(200, seed=1, weights=(1.0, 0.0, 0.0, 0.0, 0.0))
@@ -267,7 +302,7 @@ class TestExitCodes:
 
 
 class TestBackendNotice:
-    @pytest.mark.parametrize("backend, shown", [("python", True), ("cython", False)])
+    @pytest.mark.parametrize("backend, shown", [("python", True), ("compiled", False)])
     def test_twin_backend_named_on_stderr(self, monkeypatch, tmp_path, run_cli, capsys,
                                           backend, shown):
         monkeypatch.setattr("swarmids.cli.BACKEND", backend)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from swarmids.classifier import SvmConfig
 from swarmids.dataset import CLASS_NAMES
-from swarmids.errors import DataError, DataWarning
+from swarmids.errors import ConfigError, DataError, DataWarning
 from swarmids.evaluation import (
     ConfusionCounts,
     accuracy,
@@ -209,6 +209,13 @@ class TestCrossValidate:
         goa, svm = _fast_configs()
         with pytest.raises(DataError):
             cross_validate(synth_records, k=1, goa_config=goa, svm_config=svm, seed=0)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, synth_records, threads):
+        goa, svm = _fast_configs()
+        with pytest.raises(ConfigError):
+            cross_validate(synth_records, k=3, goa_config=goa, svm_config=svm, seed=0,
+                           threads=threads)
 
 
 class TestLeakageAudit:

@@ -2,20 +2,13 @@
 bit-identical results between the compiled extension and the pure-Python twin,
 for the per-plane ``hinge_epoch`` and the batched ``hinge_epoch_batch``.
 
-The compiled backend under test is built by this module from the repository's
-own ``setup.py`` into a temporary directory, so the suite checks what an
+The compiled backend under test is the ``build`` fixture's: the repository's
+own ``setup.py`` built into a temporary directory, so the suite checks what an
 install builds, without a prior build step and without writing into ``src/``.
 """
 
-import importlib.util
 import io
-import os
-import shutil
-import subprocess
-import sys
-import sysconfig
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,58 +22,14 @@ from swarmids.optimizer import GoaConfig
 from swarmids.selection import WrapperObjective
 
 from _synth import make_kdd_csv
-
-REPO = Path(__file__).resolve().parent.parent
-
-
-def _missing_toolchain():
-    """What building the extension needs and this machine lacks, or None."""
-    cc = (sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        return f"C compiler {' '.join(cc)!r} not found"
-    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if not header.is_file():
-        return f"{header} not found"
-    return None
-
-
-MISSING_TOOLCHAIN = _missing_toolchain()
-
-
-@pytest.fixture(scope="module")
-def build(tmp_path_factory):
-    """Run ``setup.py build_ext`` into a temp dir and load the result by path.
-
-    Returns ``(module or None, build output)``; a failed build is reported
-    by ``test_compiled_backend_built``.
-    """
-    if MISSING_TOOLCHAIN:
-        return None, MISSING_TOOLCHAIN
-    tmp = tmp_path_factory.mktemp("build_ext")
-    env = {k: v for k, v in os.environ.items() if k != "SWARMIDS_SKIP_EXT"}
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
-        cwd=REPO, env=env, capture_output=True, text=True,
-    )
-    log = proc.stdout + proc.stderr
-    built = sorted((tmp / "lib" / "swarmids" / "_kernels").glob("_hinge_sgd.*"))
-    if proc.returncode != 0 or not built:
-        return None, log
-    spec = importlib.util.spec_from_file_location("swarmids._kernels._hinge_sgd", built[0])
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    except ImportError as exc:
-        return None, f"{log}\n{exc!r}"
-    return module, log
+from conftest import MISSING_TOOLCHAIN
 
 
 @pytest.fixture(scope="module")
 def backends(build):
     out = available_backends()
     if build[0] is not None:
-        out["cython"] = build[0].hinge_epoch
+        out["compiled"] = build[0].hinge_epoch
     return out
 
 
@@ -88,7 +37,7 @@ def backends(build):
 def batch_backends(build):
     out = {"python": _hinge_sgd_py.hinge_epoch_batch}
     if build[0] is not None:
-        out["cython"] = build[0].hinge_epoch_batch
+        out["compiled"] = build[0].hinge_epoch_batch
     return out
 
 
@@ -98,7 +47,7 @@ def test_python_backend_always_present(backends):
 
 @pytest.mark.skipif(MISSING_TOOLCHAIN is not None, reason=f"cannot build the extension: {MISSING_TOOLCHAIN}")
 def test_compiled_backend_built(backends, build):
-    assert "cython" in backends, f"setup.py build_ext failed to build the extension:\n{build[1]}"
+    assert "compiled" in backends, f"setup.py build_ext failed to build the extension:\n{build[1]}"
 
 
 def test_single_step_hand_arithmetic(backends):
@@ -146,7 +95,7 @@ def test_backends_bit_identical(backends, seed, shape):
             order = np.random.default_rng(seed + t).permutation(n).astype(np.int64)
             b, t = epoch(x, y, order, w, b, lam, t0, t)
         results[name] = (w, b, t)
-    w_c, b_c, t_c = results["cython"]
+    w_c, b_c, t_c = results["compiled"]
     w_p, b_p, t_p = results["python"]
     assert np.array_equal(w_c, w_p)
     assert b_c == b_p
@@ -192,23 +141,23 @@ def _readonly(a):
     {"w": _readonly(np.zeros(2))},
 ], ids=["x-float32", "x-1d", "x-fortran", "y-strided", "order-int32", "order-uint64", "w-readonly"])
 def test_compiled_rejects_bad_buffers(backends, bad):
-    if "cython" not in backends:
+    if "compiled" not in backends:
         pytest.skip("compiled backend not built")
     args = {"x": np.ones((3, 2)), "y": np.array([1.0, -1.0, 1.0]),
             "order": np.arange(3, dtype=np.int64), "w": np.zeros(2)}
     args.update(bad)
     with pytest.raises(ValueError):
-        backends["cython"](args["x"], args["y"], args["order"], args["w"], 0.0, 1.0, 1.0, 0)
+        backends["compiled"](args["x"], args["y"], args["order"], args["w"], 0.0, 1.0, 1.0, 0)
 
 
 def test_compiled_kernel_on_fold_threads(backends, batch_backends, monkeypatch):
     # The compiled kernel releases the GIL, so evaluate's fold pool runs it
     # concurrently; the report must not depend on backend or thread count.
-    if "cython" not in backends:
+    if "compiled" not in backends:
         pytest.skip("compiled backend not built")
     records = parse_kdd(make_kdd_csv(400, seed=7))
     reports = []
-    for name in ("python", "cython"):
+    for name in ("python", "compiled"):
         monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
         monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
         for threads in (1, 2):
@@ -335,30 +284,30 @@ def test_batch_shape_mismatch_raises(batch_backends, bad):
     {"b": _readonly(np.zeros(2))},
 ], ids=["mask-uint8", "x-float32", "order-int32", "w-readonly", "b-readonly"])
 def test_compiled_batch_rejects_bad_buffers(batch_backends, bad):
-    if "cython" not in batch_backends:
+    if "compiled" not in batch_backends:
         pytest.skip("compiled backend not built")
     a = _batch_args()
     a.update(bad)
     with pytest.raises(ValueError):
-        _call_batch(batch_backends["cython"], a)
+        _call_batch(batch_backends["compiled"], a)
 
 
 def test_compiled_population(backends, batch_backends, synth_dataset, monkeypatch):
     # One WrapperObjective population trained by the compiled batched
     # kernel scores, traces and counts exactly like the twin.
-    if "cython" not in batch_backends:
+    if "compiled" not in batch_backends:
         pytest.skip("compiled backend not built")
     rng = np.random.default_rng(4)
     masks = list(rng.random((8, 41)) < 0.5)
     masks.append(masks[2].copy())
     results = []
-    for name in ("python", "cython"):
+    for name in ("python", "compiled"):
         monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
         monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
         trace = io.StringIO()
         objective = WrapperObjective(synth_dataset, run_seed=2, svm_config=classifier.SvmConfig(),
                                      fitness_epochs=3, trace=trace)
-        results.append((objective.many(masks), trace.getvalue(), objective.evaluations))
+        results.append((objective(masks), trace.getvalue(), objective.evaluations))
     assert results[0] == results[1]
     assert results[0][2] == 8
 

@@ -144,7 +144,6 @@ class TestInitSwarm:
         assert swarm.positions.shape == (30, 41)
         assert swarm.positions.min() >= 0.0 and swarm.positions.max() <= 1.0
         assert swarm.masks.shape == (30, 41)
-        assert np.all(np.isnan(swarm.fitness))
 
     def test_deterministic(self):
         config = GoaConfig(population_size=10, dim=7, seed=42)
@@ -197,6 +196,11 @@ class TestSocialStep:
             assert np.array_equal(swarm.masks[i], swarm.positions[i] >= 0.5)
 
 
+def _per_mask(fn):
+    """A population objective that scores each mask with ``fn``."""
+    return lambda masks: [fn(mask) for mask in masks]
+
+
 def _hash_objective(salt):
     def objective(mask):
         digest = hashlib.blake2b(
@@ -204,7 +208,7 @@ def _hash_objective(salt):
         ).digest()
         return int.from_bytes(digest, "big") / 2**64
 
-    return objective
+    return _per_mask(objective)
 
 
 class TestRun:
@@ -213,7 +217,7 @@ class TestRun:
             population_size=30, dim=41, max_iterations=300,
             fitness_delta_stop=0.0, seed=0,
         )
-        result = run(lambda m: float(m.sum()) / m.size, config)
+        result = run(_per_mask(lambda m: float(m.sum()) / m.size), config)
         assert result.best_fitness == 1.0
         assert result.best_mask.all()
 
@@ -227,10 +231,10 @@ class TestRun:
         config = GoaConfig(population_size=4, dim=6, max_iterations=50, seed=0)
         calls = {"n": 0}
 
-        def creeping(mask):
-            iteration = calls["n"] // config.population_size
+        def creeping(masks):
+            iteration = calls["n"]
             calls["n"] += 1
-            return 0.5 + 0.0005 * iteration
+            return [0.5 + 0.0005 * iteration] * len(masks)
 
         result = run(creeping, config)
         assert result.stop_reason == "fitness_delta"
@@ -239,7 +243,7 @@ class TestRun:
 
     def test_stagnation_triggers_delta_stop(self):
         config = GoaConfig(population_size=4, dim=6, max_iterations=50, seed=1)
-        result = run(lambda m: 0.25, config)
+        result = run(_per_mask(lambda m: 0.25), config)
         assert result.stop_reason == "fitness_delta"
         assert len(result.history) == 2
 
@@ -268,9 +272,9 @@ class TestRun:
                            fitness_delta_stop=0.0, seed=3)
         seen = []
 
-        def objective(mask):
-            seen.append(int(mask.sum()))
-            return 0.1
+        def objective(masks):
+            seen.extend(int(mask.sum()) for mask in masks)
+            return [0.1] * len(masks)
 
         run(objective, config)
         assert min(seen) >= 1
@@ -278,7 +282,7 @@ class TestRun:
     def test_objective_failure_carries_mask(self):
         config = GoaConfig(population_size=4, dim=6, seed=0)
 
-        def broken(mask):
+        def broken(masks):
             raise ValueError("boom")
 
         with pytest.raises(ObjectiveError) as err:
@@ -286,50 +290,54 @@ class TestRun:
         assert set(err.value.mask_bits) <= {"0", "1"}
         assert len(err.value.mask_bits) == 6
 
+    def test_objective_called_once_per_iteration(self):
+        config = GoaConfig(population_size=5, dim=8, max_iterations=7,
+                           fitness_delta_stop=0.0, seed=2)
+        sizes = []
+
+        def objective(masks):
+            sizes.append(len(masks))
+            return _hash_objective(3)(masks)
+
+        result = run(objective, config)
+        assert len(result.history) == 7
+        assert sizes == [5] * 7
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_wrong_length_result_raises(self, extra):
+        config = GoaConfig(population_size=4, dim=6, seed=0)
+        with pytest.raises(ObjectiveError) as err:
+            run(lambda masks: [0.5] * (len(masks) + extra), config)
+        assert err.value.mask_bits is None
+        assert f"{4 + extra} values for 4 masks" in str(err.value)
+
     def test_many_gives_the_same_result(self, synth_dataset):
-        # Population scoring through many() must not change the search:
-        # hash fitness has many ties, so >= plateau drift is exercised too.
-        class Batched:
-            def __init__(self, fn):
-                self.fn, self.batches = fn, []
-
-            def __call__(self, mask):
-                raise AssertionError("run must call many()")
-
-            def many(self, masks):
-                self.batches.append(len(masks))
-                return [self.fn(m) for m in masks]
-
+        # Scoring a population in one WrapperObjective call (distinct masks
+        # trained together) must not change the search against scoring one
+        # breakdown per mask (each mask trained alone).
         config = GoaConfig(population_size=6, dim=41, max_iterations=6,
                            fitness_delta_stop=0.0, seed=5)
-        coarse = lambda m: round(_hash_objective(2)(m), 1)  # noqa: E731
-        wrapper = WrapperObjective(synth_dataset, run_seed=1, svm_config=SvmConfig(),
-                                   fitness_epochs=2)
-        batched = Batched(coarse)
-        for plain, objective in ((coarse, batched), (lambda m: wrapper(m), wrapper)):
-            a = run(plain, config)
-            b = run(objective, config)
-            assert a.history == b.history and a.stop_reason == b.stop_reason
-            assert a.best_fitness == b.best_fitness
-            assert np.array_equal(a.best_mask, b.best_mask)
-            assert np.array_equal(a.best_position, b.best_position)
-        assert batched.batches == [6] * 6
+        objectives = [WrapperObjective(synth_dataset, run_seed=1, svm_config=SvmConfig(),
+                                       fitness_epochs=2) for _ in range(2)]
+        a = run(_per_mask(lambda m: objectives[0].breakdown(m).fitness), config)
+        b = run(objectives[1], config)
+        assert a.history == b.history and a.stop_reason == b.stop_reason
+        assert a.best_fitness == b.best_fitness
+        assert np.array_equal(a.best_mask, b.best_mask)
+        assert np.array_equal(a.best_position, b.best_position)
+        assert objectives[0].evaluations == objectives[1].evaluations
 
     def test_many_failure_names_the_failing_mask(self):
         config = GoaConfig(population_size=4, dim=6, seed=0)
         bad = mask_to_bitstring(init_swarm(config).masks[2])
 
-        class Broken:
-            def __call__(self, mask):
-                if mask_to_bitstring(mask) == bad:
-                    raise ValueError("boom")
-                return 0.5
-
-            def many(self, masks):
-                raise ValueError("batch failed")
+        def broken(masks):
+            if any(mask_to_bitstring(mask) == bad for mask in masks):
+                raise ValueError("boom")
+            return [0.5] * len(masks)
 
         with pytest.raises(ObjectiveError) as err:
-            run(Broken(), config)
+            run(broken, config)
         assert err.value.mask_bits == bad
         assert "boom" in str(err.value)
 

@@ -119,9 +119,9 @@ class TestFitnessFormula:
     def test_breakdown_recombines_exactly(self, small_dataset):
         fit_idx, val_idx = fitness_split(small_dataset.labels, seed=0)
         mask = np.ones(41, dtype=bool)
-        breakdown = mask_fitness(
-            mask, small_dataset.take(fit_idx), small_dataset.take(val_idx),
-            SvmConfig(epochs=3, seed=0),
+        (breakdown,) = mask_fitness(
+            [mask], [0], small_dataset.take(fit_idx), small_dataset.take(val_idx),
+            SvmConfig(epochs=3),
         )
         expected = breakdown.r_tp + (1.0 - breakdown.r_e) + (1.0 - breakdown.n_f / 41)
         assert breakdown.fitness == expected
@@ -162,16 +162,16 @@ class TestMaskFitness:
             mask = np.zeros(41, dtype=bool)
             mask[:popcount] = True
             masks.append(mask)
-        values = [mask_fitness(m, fit_ds, val_ds, config) for m in masks]
-        again = [mask_fitness(m, fit_ds, val_ds, config) for m in masks]
+        values = mask_fitness(masks, [0, 1, 2], fit_ds, val_ds, config)
+        again = [mask_fitness([m], [0], fit_ds, val_ds, config)[0] for m in masks]
         assert values == again
         # With predictions frozen, only the feature-count term moves.
         assert values[0].r_tp == values[2].r_tp
         assert values[0].fitness > values[1].fitness > values[2].fitness
 
     def test_model_carries_the_full_mask(self, small_dataset, monkeypatch):
-        # The model mask_fitness scores carries the 41-bit mask it was
-        # trained under, as the models of a batched population do.
+        # Each model mask_fitness scores carries the 41-bit mask it was
+        # trained under.
         trained = []
 
         def spy(*args, **kwargs):
@@ -179,13 +179,14 @@ class TestMaskFitness:
             return trained[-1]
 
         monkeypatch.setattr(selection, "train_ova", spy)
-        mask = np.zeros(41, dtype=bool)
-        mask[[0, 3, 17, 40]] = True
+        masks = [np.zeros(41, dtype=bool) for _ in range(2)]
+        masks[0][[0, 3, 17, 40]] = True
+        masks[1][5:9] = True
         fit_idx, val_idx = fitness_split(small_dataset.labels, seed=2)
-        mask_fitness(mask, small_dataset.take(fit_idx), small_dataset.take(val_idx),
-                     SvmConfig(epochs=2, seed=4))
+        mask_fitness(masks, [4, 5], small_dataset.take(fit_idx), small_dataset.take(val_idx),
+                     SvmConfig(epochs=2))
         (models,) = trained
-        assert [model.mask.tolist() for model in models] == [mask.tolist()]
+        assert [model.mask.tolist() for model in models] == [mask.tolist() for mask in masks]
 
     def test_degenerate_validation_sets_flag(self):
         rows = np.random.default_rng(0).uniform(0, 1, (40, 41))
@@ -193,8 +194,8 @@ class TestMaskFitness:
         ds = Dataset(rows, labels)
         fit_ds = ds.take(np.arange(30))
         val_idx = np.flatnonzero(ds.labels == 0)[:5]  # Normal-only validation
-        breakdown = mask_fitness(
-            np.ones(41, dtype=bool), fit_ds, ds.take(val_idx), SvmConfig(epochs=2, seed=0)
+        (breakdown,) = mask_fitness(
+            [np.ones(41, dtype=bool)], [0], fit_ds, ds.take(val_idx), SvmConfig(epochs=2)
         )
         assert breakdown.degenerate
         assert breakdown.r_tp == 0.0
@@ -221,9 +222,9 @@ class TestWrapperObjective:
             small_dataset, run_seed=3, svm_config=SvmConfig(seed=0), fitness_epochs=2
         )
         mask = np.ones(41, dtype=bool)
-        first = objective(mask)
-        second = objective(mask)
-        assert first == second
+        first = objective([mask])
+        second = objective([mask, mask])
+        assert second == first * 2
         assert objective.evaluations == 1
 
     def test_same_mask_same_value_across_instances(self, small_dataset):
@@ -232,7 +233,7 @@ class TestWrapperObjective:
         mask[:7] = True
         a = WrapperObjective(small_dataset, run_seed=9, svm_config=config, fitness_epochs=2)
         b = WrapperObjective(small_dataset, run_seed=9, svm_config=config, fitness_epochs=2)
-        assert a(mask) == b(mask)
+        assert a([mask]) == b([mask])
 
     def test_trace_lines_per_evaluation_call(self, small_dataset):
         trace = io.StringIO()
@@ -241,8 +242,8 @@ class TestWrapperObjective:
             fitness_epochs=2, trace=trace,
         )
         mask = np.ones(41, dtype=bool)
-        objective(mask)
-        objective(mask)
+        objective([mask])
+        objective([mask])
         lines = trace.getvalue().strip().splitlines()
         assert lines[0] == "mask,r_tp,r_e,n_f,fitness"
         assert len(lines) == 3  # header + one line per call, cache hits included
@@ -274,7 +275,7 @@ class TestMany:
         expected = [one.breakdown(masks[5])]
         expected += [one.breakdown(m) for m in masks] + [one.breakdown(m) for m in masks]
         batched.breakdown(masks[5])
-        values = batched.many(masks) + batched.many(masks)
+        values = batched(masks) + batched(masks)
         assert values == [b.fitness for b in expected[1:]]
         assert many_trace.getvalue() == one_trace.getvalue()
         assert batched.evaluations == one.evaluations == 6
@@ -282,5 +283,5 @@ class TestMany:
 
     def test_empty_population(self, small_dataset):
         objective = self._objective(small_dataset, None)
-        assert objective.many([]) == []
+        assert objective([]) == []
         assert objective.evaluations == 0
