@@ -26,7 +26,7 @@ from .seeds import derive_seed
 
 @dataclass(frozen=True)
 class SvmConfig:
-    """Training knobs.
+    """Training knobs, checked on construction (``replace`` included).
 
     ``step_offset`` shifts the learning-rate schedule (eta = 1/(lam*(t0+t)));
     None picks ceil(C*N) so the first steps are O(1) regardless of scale.
@@ -37,7 +37,7 @@ class SvmConfig:
     step_offset: float | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.c < math.inf:
             raise ConfigError(f"svm C must be positive and finite, got {self.c}")
         if self.epochs < 1:
@@ -149,7 +149,6 @@ def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperp
 
     Deterministic under ``config.seed``. Raises if only one class is present.
     """
-    config.validate()
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -182,7 +181,6 @@ def train_ova(
     absent from the data get no plane and never win. Each model carries
     its mask.
     """
-    config.validate()
     masks = [np.asarray(mask, dtype=bool) for mask in masks]
     if len(seeds) != len(masks):
         raise TrainingError(f"{len(masks)} masks but {len(seeds)} seeds")

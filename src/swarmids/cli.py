@@ -79,15 +79,14 @@ class RunConfig:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.folds < 2:
             raise ConfigError(f"folds must be at least 2, got {self.folds}")
-        # Reject at construction what training or the swarm would reject
-        # late (after a prepare, or once per swarm member) or never.
+        # Build every config the stages build, so nonsense fails here and
+        # not after a prepare or inside the swarm.
         svm = self.svm_config(0)
-        svm.validate()
         try:
-            replace(svm, epochs=self.fitness_epochs).validate()
+            replace(svm, epochs=self.fitness_epochs)
         except ConfigError as exc:
             raise ConfigError(f"fitness_epochs: {exc}") from None
-        self.goa_config(0).validate()
+        self.goa_config(0)
 
     def goa_config(self, seed: int, dim: int = len(FEATURE_NAMES)) -> GoaConfig:
         return GoaConfig(
@@ -147,7 +146,7 @@ def _config_values(text: str) -> dict:
 
 
 def config_from_text(text: str) -> RunConfig:
-    """The validated ``RunConfig`` a key=value config describes."""
+    """The checked ``RunConfig`` a key=value config describes."""
     return RunConfig(**_config_values(text))
 
 
@@ -338,7 +337,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     elapsed = time.perf_counter() - started
 
     _write(out / "evaluate_config.txt", _meta_lines(meta) + config_to_text(config))
-    _write(out / "evaluate_report.json", report_to_json(report, include_timing=False, meta=meta))
+    _write(out / "evaluate_report.json", report_to_json(report, meta=meta))
     _write(
         out / "evaluate_timing.json",
         json.dumps(
@@ -357,7 +356,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     confusion_lines = ["fold,class,tp,fn,fp,tn"]
     for fold in report.folds:
         for name in report.class_names:
-            c = fold.metrics.per_class[name].counts
+            c = fold.metrics.per_class[name]
             confusion_lines.append(f"{fold.index},{name},{c.tp},{c.fn},{c.fp},{c.tn}")
     _write(
         out / "evaluate_confusion.csv",
@@ -367,7 +366,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         for metric in METRIC_NAMES:
             labels = list(report.class_names) + ["Average"]
             per_class = [
-                float(np.mean([f.metrics.per_class[name].value(metric) for f in report.folds]))
+                float(np.mean([f.metrics.value(name, metric) for f in report.folds]))
                 for name in report.class_names
             ]
             values = per_class + [report.macro_mean[metric]]
@@ -438,7 +437,7 @@ def build_parser() -> _Parser:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Config-file values overridden by explicit flags, validated once."""
+    """Config-file values overridden by explicit flags, checked once."""
     values = {}
     if args.config is not None:
         path = Path(args.config)

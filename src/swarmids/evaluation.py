@@ -36,12 +36,14 @@ from .dataset import (
     map_label,
     stratified_fold_indices,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .optimizer import GoaConfig, mask_to_bitstring, run
 from .seeds import derive_seed
 from .selection import WrapperObjective, project_features
 
-METRIC_NAMES = ("tpr", "fpr", "tnr", "fnr", "accuracy")
+# Each per-class rate, by the name the reports use for it.
+METRICS = {"tpr": tpr, "fpr": fpr, "tnr": tnr, "fnr": fnr, "accuracy": accuracy}
+METRIC_NAMES = tuple(METRICS)
 
 TNR_NOTE = "tnr computed as tn/(tn+fp) so that fpr + tnr = 1"
 
@@ -58,56 +60,31 @@ def _degenerate_metrics(c: ConfusionCounts) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class ClassMetrics:
-    counts: ConfusionCounts
-    tpr: float
-    fpr: float
-    tnr: float
-    fnr: float
-    accuracy: float
-    degenerate: tuple[str, ...]
-
-    @classmethod
-    def from_counts(cls, counts: ConfusionCounts) -> "ClassMetrics":
-        return cls(
-            counts=counts,
-            tpr=tpr(counts),
-            fpr=fpr(counts),
-            tnr=tnr(counts),
-            fnr=fnr(counts),
-            accuracy=accuracy(counts),
-            degenerate=_degenerate_metrics(counts),
-        )
-
-    def value(self, metric: str) -> float:
-        return getattr(self, metric)
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    """Per-class one-vs-rest metrics plus unweighted macro averages over
-    the classes present in truth (support-weighted averages included for
-    information)."""
+    """Per-class one-vs-rest counts plus unweighted macro averages of their
+    rates over the classes present in truth (support-weighted averages
+    included for information)."""
 
     class_names: tuple[str, ...]
-    per_class: Mapping[str, ClassMetrics]
+    per_class: Mapping[str, ConfusionCounts]
     support: Mapping[str, int]
     macro: Mapping[str, float]
     weighted: Mapping[str, float]
+
+    def value(self, name: str, metric: str) -> float:
+        """Rate ``metric`` (one of ``METRIC_NAMES``) of class ``name``."""
+        return METRICS[metric](self.per_class[name])
 
     def to_dict(self) -> dict:
         return {
             "class_names": list(self.class_names),
             "per_class": {
                 name: {
-                    "counts": {
-                        "tp": m.counts.tp, "fn": m.counts.fn,
-                        "fp": m.counts.fp, "tn": m.counts.tn,
-                    },
-                    **{metric: m.value(metric) for metric in METRIC_NAMES},
-                    "degenerate": list(m.degenerate),
+                    "counts": {"tp": c.tp, "fn": c.fn, "fp": c.fp, "tn": c.tn},
+                    **{metric: self.value(name, metric) for metric in METRIC_NAMES},
+                    "degenerate": list(_degenerate_metrics(c)),
                 }
-                for name, m in self.per_class.items()
+                for name, c in self.per_class.items()
             },
             "support": dict(self.support),
             "macro": dict(self.macro),
@@ -120,36 +97,24 @@ def macro_report(
     predicted: Sequence[int],
     class_names: Sequence[str] = CLASS_NAMES,
 ) -> MetricsReport:
-    """Per-class one-vs-rest metrics and their macro average."""
+    """Per-class one-vs-rest counts and the macro average of their rates."""
     truth = np.asarray(truth)
     predicted = np.asarray(predicted)
-    per_class = {}
-    support = {}
-    for index, name in enumerate(class_names):
-        per_class[name] = ClassMetrics.from_counts(
-            confusion_per_class(truth, predicted, index)
-        )
-        support[name] = int(np.sum(truth == index))
+    per_class = {
+        name: confusion_per_class(truth, predicted, index)
+        for index, name in enumerate(class_names)
+    }
+    support = {name: int(np.sum(truth == index)) for index, name in enumerate(class_names)}
     present = [name for name in class_names if support[name] > 0]
-    macro = {
-        metric: float(np.mean([per_class[name].value(metric) for name in present]))
-        for metric in METRIC_NAMES
-    }
     total_support = sum(support[name] for name in present)
-    weighted = {
-        metric: float(
-            sum(per_class[name].value(metric) * support[name] for name in present)
-            / total_support
+    macro, weighted = {}, {}
+    for metric in METRIC_NAMES:
+        values = [METRICS[metric](per_class[name]) for name in present]
+        macro[metric] = float(np.mean(values))
+        weighted[metric] = float(
+            sum(value * support[name] for value, name in zip(values, present)) / total_support
         )
-        for metric in METRIC_NAMES
-    }
-    return MetricsReport(
-        class_names=tuple(class_names),
-        per_class=per_class,
-        support=support,
-        macro=macro,
-        weighted=weighted,
-    )
+    return MetricsReport(tuple(class_names), per_class, support, macro, weighted)
 
 
 def _attack_dict(c: ConfusionCounts) -> dict:
@@ -170,8 +135,8 @@ class FoldReport:
     attack_confusion: ConfusionCounts
     seconds: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "index": self.index,
             "train_size": self.train_size,
             "test_size": self.test_size,
@@ -183,9 +148,6 @@ class FoldReport:
             "metrics": self.metrics.to_dict(),
             "attack_vs_normal": _attack_dict(self.attack_confusion),
         }
-        if include_timing:
-            out["seconds"] = self.seconds
-        return out
 
 
 @dataclass(frozen=True)
@@ -200,12 +162,12 @@ class CvReport:
     attack_overall: ConfusionCounts
     notes: tuple[str, ...] = (TNR_NOTE,)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "k": self.k,
             "seed": self.seed,
             "class_names": list(self.class_names),
-            "folds": [f.to_dict(include_timing) for f in self.folds],
+            "folds": [f.to_dict() for f in self.folds],
             "macro_mean": dict(self.macro_mean),
             "macro_std": dict(self.macro_std),
             "weighted_mean": dict(self.weighted_mean),
@@ -214,10 +176,10 @@ class CvReport:
         }
 
 
-def report_to_json(report: CvReport, include_timing: bool = False, meta: Mapping[str, str] | None = None) -> str:
-    """Canonical JSON (sorted keys). Timing is excluded by default so the
-    artifact is byte-identical across runs with the same config and seed."""
-    payload = report.to_dict(include_timing)
+def report_to_json(report: CvReport, meta: Mapping[str, str] | None = None) -> str:
+    """Canonical JSON (sorted keys). Fold timing is left out so the artifact
+    is byte-identical across runs with the same config and seed."""
+    payload = report.to_dict()
     if meta:
         payload["meta"] = dict(meta)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -229,7 +191,6 @@ AuditHook = Callable[[str, int, np.ndarray], None]
 def _run_fold(
     fold: int,
     records: Sequence[RawRecord],
-    labels: np.ndarray,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     goa_config: GoaConfig,
@@ -308,8 +269,6 @@ def cross_validate(
     seeds, so results do not depend on the thread count. ``audit``
     receives (stage, fold, absolute row indices).
     """
-    if k < 2:
-        raise DataError("cross-validation needs k >= 2")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     labels = np.fromiter((map_label(r.label) for r in records), dtype=np.int64, count=len(records))
@@ -318,7 +277,7 @@ def cross_validate(
     def job(args):
         fold, (train_idx, test_idx) = args
         return _run_fold(
-            fold, records, labels, train_idx, test_idx,
+            fold, records, train_idx, test_idx,
             goa_config, svm_config, seed, fitness_epochs, audit,
         )
 

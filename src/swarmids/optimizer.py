@@ -19,7 +19,8 @@ from .errors import ConfigError, ObjectiveError
 
 @dataclass(frozen=True)
 class GoaConfig:
-    """Swarm parameters. Positions live in the unit box [0, 1]^dim."""
+    """Swarm parameters, checked on construction (``replace`` included).
+    Positions live in the unit box [0, 1]^dim."""
 
     population_size: int = 30
     dim: int = 41
@@ -33,7 +34,7 @@ class GoaConfig:
     reversion_prob: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.population_size < 2:
             raise ConfigError("population_size must be at least 2")
         if self.dim < 1:
@@ -107,15 +108,12 @@ def update_c(t: int, config: GoaConfig) -> float:
     return config.c_max - (t / config.max_iterations) * (config.c_max - config.c_min)
 
 
-def binarize(position: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+def binarize(position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Threshold at 0.5 (inclusive); an all-zero result is repaired by
-    setting one bit (uniformly random with an rng, argmax otherwise)."""
-    position = np.asarray(position, dtype=np.float64)
-    mask = position >= 0.5
+    setting one uniformly random bit."""
+    mask = np.asarray(position, dtype=np.float64) >= 0.5
     if not mask.any():
-        index = int(rng.integers(mask.size)) if rng is not None else int(np.argmax(position))
-        mask = mask.copy()
-        mask[index] = True
+        mask[int(rng.integers(mask.size))] = True
     return mask
 
 
@@ -148,10 +146,8 @@ def reversion_mutation(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return flip_span(mask, i, j)
 
 
-def init_swarm(config: GoaConfig, rng: np.random.Generator | None = None) -> Swarm:
+def init_swarm(config: GoaConfig, rng: np.random.Generator) -> Swarm:
     """Uniform random positions in the unit box; masks binarized."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     positions = rng.uniform(0.0, 1.0, (config.population_size, config.dim))
     masks = np.stack([binarize(p, rng) for p in positions])
     return Swarm(positions=positions, masks=masks, c=config.c_max)
@@ -229,6 +225,10 @@ def _evaluate(objective: Objective, masks: np.ndarray) -> list[float]:
         raise ObjectiveError(mask_to_bitstring(masks[0]), exc) from exc
     if len(values) != len(masks):
         raise ObjectiveError(None, f"{len(values)} values for {len(masks)} masks")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ObjectiveError(mask_to_bitstring(masks[i]), f"fitness {values[i]!r} is not finite")
     return values
 
 
@@ -239,15 +239,14 @@ def run(objective: Objective, config: GoaConfig) -> GoaResult:
     the members' masks in member order and returns one fitness per mask,
     in that order. ``run`` calls it once per iteration. If the call
     raises, each member is scored alone so the ``ObjectiveError`` names a
-    mask that fails; a result of the wrong length is an ``ObjectiveError``
-    too.
+    mask that fails; a result of the wrong length, or a value that is not
+    finite (named by its first such mask), is an ``ObjectiveError`` too.
 
     Stops at ``max_iterations`` or when the best fitness improves by less
     than ``fitness_delta_stop`` between consecutive iterations (checked
     once two iterations exist). History records one row per iteration and
     is monotone non-decreasing in best fitness.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     swarm = init_swarm(config, rng)
     history: list[IterationRecord] = []

@@ -35,13 +35,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         step = mult * power
         if raw_step <= step:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    value = first
-    while value <= hi + step * 1e-9:
-        ticks.append(round(value, 12))
-        value += step
-    return ticks
+    # Index the multiples of step, so a step below lo's ulp cannot stall.
+    first = math.ceil(lo / step)
+    last = math.floor(hi / step + 1e-9)
+    return [round(i * step, 12) for i in range(first, last + 1)]
 
 
 def _header(title: str, meta: Mapping[str, str] | None) -> list[str]:

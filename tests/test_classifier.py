@@ -1,5 +1,8 @@
 """Linear SVM training, decision geometry, and one-vs-all."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,15 +95,17 @@ class TestTrainBinary:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            SvmConfig(c=0.0).validate()
+            SvmConfig(c=0.0)
         with pytest.raises(ConfigError):
-            SvmConfig(epochs=0).validate()
+            SvmConfig(epochs=0)
+        with pytest.raises(ConfigError):
+            replace(SvmConfig(), c=math.inf)
 
     def test_negative_step_offset_rejected(self):
         # eta = 1/(lam*(t0+t)) divides by zero at t0 = -1.
         with pytest.raises(ConfigError, match="step_offset"):
-            SvmConfig(step_offset=-1).validate()
-        SvmConfig(step_offset=0.0).validate()
+            SvmConfig(step_offset=-1)
+        SvmConfig(step_offset=0.0)
 
 
 def decision(plane, x):

@@ -112,15 +112,15 @@ class TestMacroReport:
         truth = [0, 0, 1, 1, 1, 1, 1]
         pred = [0, 0, 1, 1, 1, 1, 0]
         report = macro_report(truth, pred, ("a", "b"))
-        assert report.per_class["a"].tpr == 1.0
-        assert report.per_class["b"].tpr == 0.8
+        assert tpr(report.per_class["a"]) == 1.0
+        assert tpr(report.per_class["b"]) == 0.8
         assert report.macro["tpr"] == pytest.approx(0.9)
 
     def test_single_class_truth_equals_its_metrics(self):
         truth = [1, 1, 1]
         pred = [1, 0, 1]
         report = macro_report(truth, pred, ("a", "b"))
-        assert report.macro["tpr"] == report.per_class["b"].tpr
+        assert report.macro["tpr"] == tpr(report.per_class["b"])
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(7)
@@ -129,17 +129,18 @@ class TestMacroReport:
         report = macro_report(truth, pred, CLASS_NAMES)
         for index, name in enumerate(CLASS_NAMES):
             tp, fn, fp, tn = _brute_force_metrics(truth, pred, index)
-            counts = report.per_class[name].counts
+            counts = report.per_class[name]
             assert (counts.tp, counts.fn, counts.fp, counts.tn) == (tp, fn, fp, tn)
             if tp + fn:
-                assert report.per_class[name].tpr == tp / (tp + fn)
+                assert tpr(report.per_class[name]) == tp / (tp + fn)
+                assert report.value(name, "tpr") == tp / (tp + fn)
 
     def test_per_class_tp_sums_to_total_correct(self):
         rng = np.random.default_rng(3)
         truth = rng.integers(0, 5, 500)
         pred = rng.integers(0, 5, 500)
         report = macro_report(truth, pred, CLASS_NAMES)
-        total_tp = sum(m.counts.tp for m in report.per_class.values())
+        total_tp = sum(c.tp for c in report.per_class.values())
         assert total_tp == int(np.sum(truth == pred))
 
     def test_weighted_average_emitted(self):
@@ -198,8 +199,6 @@ class TestCrossValidate:
     def test_canonical_json_excludes_timing(self, cv_report):
         payload = json.loads(report_to_json(cv_report))
         assert "seconds" not in payload["folds"][0]
-        timed = json.loads(report_to_json(cv_report, include_timing=True))
-        assert "seconds" in timed["folds"][0]
 
     def test_report_carries_tnr_note(self, cv_report):
         payload = json.loads(report_to_json(cv_report))

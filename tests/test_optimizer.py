@@ -3,6 +3,7 @@ mutation operators, and the full run loop."""
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,18 +76,21 @@ class TestDecay:
 
 class TestBinarize:
     def test_threshold_inclusive(self):
-        mask = binarize(np.array([0.9, 0.1, 0.5]))
+        mask = binarize(np.array([0.9, 0.1, 0.5]), np.random.default_rng(0))
         assert mask.tolist() == [True, False, True]
 
     def test_all_zero_repaired_to_single_bit(self):
-        rng = np.random.default_rng(0)
-        mask = binarize(np.zeros(8), rng)
-        assert mask.sum() == 1
-        mask2 = binarize(np.zeros(8))
-        assert mask2.sum() == 1
+        for seed in range(5):
+            position = np.zeros(8)
+            mask = binarize(position, np.random.default_rng(seed))
+            assert mask.sum() == 1
+            assert not position.any()
+        # The repaired bit is the rng's first draw.
+        index = int(np.random.default_rng(3).integers(8))
+        assert np.flatnonzero(binarize(np.zeros(8), np.random.default_rng(3))).tolist() == [index]
 
     def test_all_ones(self):
-        assert binarize(np.ones(5)).all()
+        assert binarize(np.ones(5), np.random.default_rng(0)).all()
 
 
 class TestMutations:
@@ -140,20 +144,20 @@ class TestBitstrings:
 class TestInitSwarm:
     def test_shapes_and_bounds(self):
         config = GoaConfig(population_size=30, dim=41, seed=0)
-        swarm = init_swarm(config)
+        swarm = init_swarm(config, np.random.default_rng(0))
         assert swarm.positions.shape == (30, 41)
         assert swarm.positions.min() >= 0.0 and swarm.positions.max() <= 1.0
         assert swarm.masks.shape == (30, 41)
 
     def test_deterministic(self):
         config = GoaConfig(population_size=10, dim=7, seed=42)
-        a, b = init_swarm(config), init_swarm(config)
+        a, b = (init_swarm(config, np.random.default_rng(42)) for _ in range(2))
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.masks, b.masks)
 
     def test_roughly_half_bits_set(self):
         config = GoaConfig(population_size=30, dim=41, seed=1)
-        swarm = init_swarm(config)
+        swarm = init_swarm(config, np.random.default_rng(1))
         fraction = swarm.masks.mean()
         assert 0.4 <= fraction <= 0.6
 
@@ -329,7 +333,8 @@ class TestRun:
 
     def test_many_failure_names_the_failing_mask(self):
         config = GoaConfig(population_size=4, dim=6, seed=0)
-        bad = mask_to_bitstring(init_swarm(config).masks[2])
+        # run draws the first population from a generator seeded with config.seed.
+        bad = mask_to_bitstring(init_swarm(config, np.random.default_rng(config.seed)).masks[2])
 
         def broken(masks):
             if any(mask_to_bitstring(mask) == bad for mask in masks):
@@ -341,13 +346,31 @@ class TestRun:
         assert err.value.mask_bits == bad
         assert "boom" in str(err.value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_fitness_raises(self, value):
+        config = GoaConfig(population_size=4, dim=6, seed=0)
+        bad = mask_to_bitstring(init_swarm(config, np.random.default_rng(config.seed)).masks[1])
+
+        def objective(masks):
+            return [value if mask_to_bitstring(m) == bad else 0.5 for m in masks]
+
+        with pytest.raises(ObjectiveError) as err:
+            run(objective, config)
+        assert err.value.mask_bits == bad
+        assert "not finite" in str(err.value)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            GoaConfig(population_size=1).validate()
+            GoaConfig(population_size=1)
         with pytest.raises(ConfigError):
-            GoaConfig(c_min=2.0, c_max=1.0).validate()
+            GoaConfig(c_min=2.0, c_max=1.0)
         with pytest.raises(ConfigError):
-            GoaConfig(swap_prob=1.5).validate()
+            GoaConfig(swap_prob=1.5)
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ConfigError, match="population_size"):
+            replace(GoaConfig(), population_size=1)
 
 
 def test_history_csv_format():
@@ -381,4 +404,4 @@ class TestPinnedDefaults:
         if not mask.any():
             mask[0] = True
         written = mask.astype(np.float64)  # the 1.0/0.0 write-back
-        assert np.array_equal(binarize(written), mask)
+        assert np.array_equal(binarize(written, np.random.default_rng(0)), mask)

@@ -12,7 +12,7 @@ from swarmids import selection
 from swarmids.classifier import Hyperplane, SvmConfig, SvmModel, train_ova
 from swarmids.confusion import ConfusionCounts, binary_attack_confusion, tpr
 from swarmids.dataset import Dataset
-from swarmids.errors import DataError
+from swarmids.errors import ConfigError, DataError
 from swarmids.selection import (
     WrapperObjective,
     error_rate,
@@ -217,6 +217,10 @@ class TestFitnessSplit:
 
 
 class TestWrapperObjective:
+    def test_zero_fitness_epochs_rejected_on_construction(self, small_dataset):
+        with pytest.raises(ConfigError, match="epochs"):
+            WrapperObjective(small_dataset, run_seed=1, svm_config=SvmConfig(), fitness_epochs=0)
+
     def test_cache_serves_repeat_masks(self, small_dataset):
         objective = WrapperObjective(
             small_dataset, run_seed=3, svm_config=SvmConfig(seed=0), fitness_epochs=2

@@ -1,0 +1,90 @@
+"""Package structure, read from the source with ``ast``: the internal
+import graph has no cycle, and no module reads the environment."""
+
+import ast
+from pathlib import Path
+
+import swarmids
+
+PACKAGE = Path(swarmids.__file__).resolve().parent
+
+
+def _modules() -> dict[str, Path]:
+    """Dotted name -> file, for every Python module of the package."""
+    out = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = ("swarmids",) + path.relative_to(PACKAGE).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = path
+    return out
+
+
+def _imports(name: str, path: Path, modules: dict[str, Path]) -> set[str]:
+    """Package modules that ``name`` imports, at any depth of its body."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0] if node.level > 1 else package
+                base = f"{anchor}.{base}" if base else anchor
+            targets.add(base)
+            # ``from . import x`` imports the submodule x when there is one.
+            targets.update(f"{base}.{alias.name}" for alias in node.names)
+    return {target for target in targets if target in modules and target != name}
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a path of module names, or None."""
+    state: dict[str, str] = {}
+    stack: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        state[node] = "open"
+        stack.append(node)
+        for nxt in sorted(graph[node]):
+            if state.get(nxt) == "open":
+                return stack[stack.index(nxt):] + [nxt]
+            if nxt not in state:
+                found = visit(nxt)
+                if found:
+                    return found
+        stack.pop()
+        state[node] = "done"
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            found = visit(node)
+            if found:
+                return found
+    return None
+
+
+def test_import_graph_is_acyclic():
+    modules = _modules()
+    graph = {name: _imports(name, path, modules) for name, path in modules.items()}
+    assert graph["swarmids.evaluation"] >= {"swarmids.confusion", "swarmids.selection"}
+    assert _cycle(graph) is None, " -> ".join(_cycle(graph))
+
+
+def test_cycle_finder_sees_a_cycle():
+    graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
+    assert _cycle(graph) == ["a", "b", "c", "a"]
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for name, path in _modules().items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in ("environ", "getenv") for alias in node.names
+            ):
+                reads.append(f"{name}:{node.lineno}")
+    assert not reads, f"environment reads: {reads}"
