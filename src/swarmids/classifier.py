@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import hinge_epoch, hinge_epoch_batch
-from .dataset import Dataset
+from .dataset import CLASS_NAMES, Dataset
 from .errors import ConfigError, TrainingError
 from .seeds import derive_seed
 
@@ -63,14 +63,15 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """One plane per class (None for classes absent at training time),
-    plus the feature mask the planes were trained under."""
+    """One plane per class of ``CLASS_NAMES`` (None for classes absent at
+    training time), plus the feature mask the planes were trained under."""
 
-    class_names: tuple[str, ...]
     planes: tuple[Hyperplane | None, ...]
     mask: np.ndarray
 
     def __post_init__(self):
+        if len(self.planes) != len(CLASS_NAMES):
+            raise TrainingError(f"need one plane per class, got {len(self.planes)}")
         mask = np.ascontiguousarray(self.mask, dtype=bool)
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
@@ -189,20 +190,16 @@ def train_ova(
     present = [int(k) for k in np.unique(dataset.labels)]
     if len(present) < 2:
         raise TrainingError("one-vs-all training needs at least two classes")
-    # Plane p = j * len(present) + i trains class present[i] under masks[j].
     plan = [(j, k) for j in range(len(masks)) for k in present]
     y = np.where(dataset.labels == np.array([k for _, k in plan])[:, None], 1.0, -1.0)
-    planes = _train_planes(
+    planes = dict(zip(plan, _train_planes(
         dataset.rows, y, masks, [j for j, _ in plan],
         [derive_seed(seeds[j], "ova", k) for j, k in plan], config,
-    )
-    models = []
-    for j, mask in enumerate(masks):
-        by_class: list[Hyperplane | None] = [None] * len(dataset.class_names)
-        for i, k in enumerate(present):
-            by_class[k] = planes[j * len(present) + i]
-        models.append(SvmModel(tuple(dataset.class_names), tuple(by_class), mask))
-    return models
+    )))
+    return [
+        SvmModel(tuple(planes.get((j, k)) for k in range(len(CLASS_NAMES))), mask)
+        for j, mask in enumerate(masks)
+    ]
 
 
 def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:

@@ -183,13 +183,14 @@ def _threads(config: RunConfig) -> int:
     return config.threads or os.cpu_count() or 1
 
 
-def _load_records(path: str):
-    if not path:
-        raise ConfigError("no dataset path given (use --data or a config file)")
-    file = Path(path)
-    if not file.exists():
-        raise DataError(f"dataset file not found: {file}")
-    with file.open("r", encoding="utf-8") as stream:
+_PREPARED_MISSING = "prepared artifact missing: {} (run prepare first)"
+
+
+def _read_records(path: Path, missing: str):
+    """Parse ``path``, or raise ``DataError(missing.format(path))`` if it is absent."""
+    if not path.exists():
+        raise DataError(missing.format(path))
+    with path.open("r", encoding="utf-8") as stream:
         return parse_kdd(stream)
 
 
@@ -204,7 +205,9 @@ def cmd_prepare(config: RunConfig) -> int:
     meta = _meta(config, "prepare")
     stage_seed = derive_seed(config.seed, "prepare")
 
-    records = _load_records(config.data)
+    if not config.data:
+        raise ConfigError("no dataset path given (use --data or a config file)")
+    records = _read_records(Path(config.data), "dataset file not found: {}")
     if not records:
         raise DataError(f"no records in {config.data}")
     labels = np.array([map_label(r.label) for r in records], dtype=np.int64)
@@ -232,8 +235,8 @@ def cmd_prepare(config: RunConfig) -> int:
         + "\n".join(_record_line(r) for r in records)
         + "\n",
     )
-    _write(out / "prepare_encoding.txt", encoding_to_text(encoding, meta))
-    _write(out / "prepare_norm_stats.txt", norm_stats_to_text(stats, meta))
+    _write(out / "prepare_encoding.txt", _meta_lines(meta) + encoding_to_text(encoding))
+    _write(out / "prepare_norm_stats.txt", _meta_lines(meta) + norm_stats_to_text(stats))
     histogram = class_histogram(labels)
     _write(
         out / "prepare_class_histogram.csv",
@@ -257,21 +260,13 @@ def cmd_prepare(config: RunConfig) -> int:
     return 0
 
 
-def _read_prepared(config: RunConfig):
-    path = Path(config.out) / "prepare_data.csv"
-    if not path.exists():
-        raise DataError(f"prepared artifact missing: {path} (run prepare first)")
-    with path.open("r", encoding="utf-8") as stream:
-        return parse_kdd(stream)
-
-
 def cmd_select(config: RunConfig) -> int:
     """Run feature selection on the prepared data; write mask, history, plot."""
     out = _out_dir(config)
     meta = _meta(config, "select")
     stage_seed = derive_seed(config.seed, "select")
 
-    records = _read_prepared(config)
+    records = _read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING)
     encoding = fit_encoding(records, fitted_on=f"select[{len(records)} rows]")
     raw_ds = encode(records, encoding)
     stats = fit_normalize(raw_ds)
@@ -323,7 +318,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     meta = _meta(config, "evaluate")
     stage_seed = derive_seed(config.seed, "evaluate")
 
-    records = _read_prepared(config)
+    records = _read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING)
     started = time.perf_counter()
     report = cross_validate(
         records,
@@ -355,8 +350,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     )
     confusion_lines = ["fold,class,tp,fn,fp,tn"]
     for fold in report.folds:
-        for name in report.class_names:
-            c = fold.metrics.per_class[name]
+        for name, c in fold.metrics.per_class.items():
             confusion_lines.append(f"{fold.index},{name},{c.tp},{c.fn},{c.fp},{c.tn}")
     _write(
         out / "evaluate_confusion.csv",
@@ -364,10 +358,10 @@ def cmd_evaluate(config: RunConfig) -> int:
     )
     if config.plots:
         for metric in METRIC_NAMES:
-            labels = list(report.class_names) + ["Average"]
+            labels = list(CLASS_NAMES) + ["Average"]
             per_class = [
                 float(np.mean([f.metrics.value(name, metric) for f in report.folds]))
-                for name in report.class_names
+                for name in CLASS_NAMES
             ]
             values = per_class + [report.macro_mean[metric]]
             _write(
@@ -478,3 +472,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

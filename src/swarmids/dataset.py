@@ -81,16 +81,22 @@ def _freeze_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def check_labels(labels: np.ndarray, what: str) -> None:
+    """Raise ``DataError`` unless every label indexes ``CLASS_NAMES``."""
+    bad = labels[(labels < 0) | (labels >= len(CLASS_NAMES))]
+    if bad.size:
+        raise DataError(f"{what} {bad[0]} is outside the classes {CLASS_NAMES}")
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Encoded feature matrix with integer class labels.
+    """Encoded feature matrix with integer labels indexing ``CLASS_NAMES``.
 
     Immutable after construction; safe to share across worker threads.
     """
 
     rows: np.ndarray
     labels: np.ndarray
-    class_names: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
         rows = _freeze_rows(self.rows)
@@ -100,6 +106,7 @@ class Dataset:
             raise DataError("rows must be a 2-d matrix")
         if labels.shape != (rows.shape[0],):
             raise DataError("labels length must match row count")
+        check_labels(labels, "label")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
 
@@ -114,7 +121,7 @@ class Dataset:
     def take(self, indices: np.ndarray) -> "Dataset":
         """Materialize an index view as a new Dataset."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.rows[idx], self.labels[idx], self.class_names)
+        return Dataset(self.rows[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,7 @@ def apply_normalize(dataset: Dataset, stats: NormStats) -> Dataset:
     safe = np.where(span > 0, span, 1.0)
     scaled = (dataset.rows - stats.mins) / safe
     scaled = np.where(span > 0, scaled, 0.0)
-    return Dataset(np.clip(scaled, 0.0, 1.0), dataset.labels, dataset.class_names)
+    return Dataset(np.clip(scaled, 0.0, 1.0), dataset.labels)
 
 
 def stratified_sample_indices(labels: np.ndarray, n: int, seed: int) -> np.ndarray:
@@ -311,24 +318,17 @@ def stratified_fold_indices(
     return folds
 
 
-def class_histogram(labels: np.ndarray, class_names: Sequence[str] = CLASS_NAMES) -> dict[str, int]:
+def class_histogram(labels: np.ndarray) -> dict[str, int]:
     """Row count per class name, including absent classes."""
     labels = np.asarray(labels)
-    return {name: int(np.sum(labels == i)) for i, name in enumerate(class_names)}
+    return {name: int(np.sum(labels == i)) for i, name in enumerate(CLASS_NAMES)}
 
 
 # --- human-readable artifact files -------------------------------------------
 
-def _header_lines(header: Mapping[str, str] | None) -> list[str]:
-    if not header:
-        return []
-    return [f"# {key}={value}" for key, value in header.items()]
-
-
-def encoding_to_text(table: EncodingTable, header: Mapping[str, str] | None = None) -> str:
+def encoding_to_text(table: EncodingTable) -> str:
     """Serialize an encoding table as auditable key=value lines."""
-    lines = _header_lines(header)
-    lines.append(f"fitted_on={table.fitted_on}")
+    lines = [f"fitted_on={table.fitted_on}"]
     for col in sorted(table.columns):
         mapping = table.columns[col]
         lines.append(f"column.{col}.name={FEATURE_NAMES[col]}")
@@ -339,9 +339,9 @@ def encoding_to_text(table: EncodingTable, header: Mapping[str, str] | None = No
     return "\n".join(lines) + "\n"
 
 
-def norm_stats_to_text(stats: NormStats, header: Mapping[str, str] | None = None) -> str:
+def norm_stats_to_text(stats: NormStats) -> str:
     """Serialize normalization stats; float repr round-trips exactly."""
-    lines = _header_lines(header)
+    lines = []
     for i, (lo, hi) in enumerate(zip(stats.mins, stats.maxs)):
         lines.append(f"feature.{i}.name={FEATURE_NAMES[i] if i < N_FEATURES else i}")
         lines.append(f"feature.{i}.min={float(lo)!r}")

@@ -30,6 +30,7 @@ from .dataset import (
     CLASS_NAMES,
     RawRecord,
     apply_normalize,
+    check_labels,
     encode,
     fit_encoding,
     fit_normalize,
@@ -61,13 +62,11 @@ def _degenerate_metrics(c: ConfusionCounts) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-class one-vs-rest counts plus unweighted macro averages of their
-    rates over the classes present in truth (support-weighted averages
-    included for information)."""
+    """Per-class one-vs-rest counts by class name, plus unweighted macro
+    averages of their rates over the classes present in truth (averages
+    weighted by support, tp + fn, included for information)."""
 
-    class_names: tuple[str, ...]
     per_class: Mapping[str, ConfusionCounts]
-    support: Mapping[str, int]
     macro: Mapping[str, float]
     weighted: Mapping[str, float]
 
@@ -77,7 +76,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "class_names": list(self.class_names),
+            "class_names": list(CLASS_NAMES),
             "per_class": {
                 name: {
                     "counts": {"tp": c.tp, "fn": c.fn, "fp": c.fp, "tn": c.tn},
@@ -86,35 +85,33 @@ class MetricsReport:
                 }
                 for name, c in self.per_class.items()
             },
-            "support": dict(self.support),
+            "support": {name: c.tp + c.fn for name, c in self.per_class.items()},
             "macro": dict(self.macro),
             "weighted": dict(self.weighted),
         }
 
 
-def macro_report(
-    truth: Sequence[int],
-    predicted: Sequence[int],
-    class_names: Sequence[str] = CLASS_NAMES,
-) -> MetricsReport:
-    """Per-class one-vs-rest counts and the macro average of their rates."""
+def macro_report(truth: Sequence[int], predicted: Sequence[int]) -> MetricsReport:
+    """Per-class one-vs-rest counts and the macro average of their rates.
+    Raises ``DataError`` for a label outside ``CLASS_NAMES``."""
     truth = np.asarray(truth)
     predicted = np.asarray(predicted)
+    check_labels(truth, "truth label")
+    check_labels(predicted, "predicted label")
     per_class = {
         name: confusion_per_class(truth, predicted, index)
-        for index, name in enumerate(class_names)
+        for index, name in enumerate(CLASS_NAMES)
     }
-    support = {name: int(np.sum(truth == index)) for index, name in enumerate(class_names)}
-    present = [name for name in class_names if support[name] > 0]
-    total_support = sum(support[name] for name in present)
+    support = {name: c.tp + c.fn for name, c in per_class.items() if c.tp + c.fn}
+    total_support = sum(support.values())
     macro, weighted = {}, {}
     for metric in METRIC_NAMES:
-        values = [METRICS[metric](per_class[name]) for name in present]
+        values = [METRICS[metric](per_class[name]) for name in support]
         macro[metric] = float(np.mean(values))
         weighted[metric] = float(
-            sum(value * support[name] for value, name in zip(values, present)) / total_support
+            sum(value * count for value, count in zip(values, support.values())) / total_support
         )
-    return MetricsReport(tuple(class_names), per_class, support, macro, weighted)
+    return MetricsReport(per_class, macro, weighted)
 
 
 def _attack_dict(c: ConfusionCounts) -> dict:
@@ -154,25 +151,23 @@ class FoldReport:
 class CvReport:
     k: int
     seed: int
-    class_names: tuple[str, ...]
     folds: tuple[FoldReport, ...]
     macro_mean: Mapping[str, float]
     macro_std: Mapping[str, float]
     weighted_mean: Mapping[str, float]
     attack_overall: ConfusionCounts
-    notes: tuple[str, ...] = (TNR_NOTE,)
 
     def to_dict(self) -> dict:
         return {
             "k": self.k,
             "seed": self.seed,
-            "class_names": list(self.class_names),
+            "class_names": list(CLASS_NAMES),
             "folds": [f.to_dict() for f in self.folds],
             "macro_mean": dict(self.macro_mean),
             "macro_std": dict(self.macro_std),
             "weighted_mean": dict(self.weighted_mean),
             "attack_vs_normal_overall": _attack_dict(self.attack_overall),
-            "notes": list(self.notes),
+            "notes": [TNR_NOTE],
         }
 
 
@@ -243,7 +238,7 @@ def _run_fold(
         goa_iterations=len(result.history),
         goa_best_fitness=result.best_fitness,
         goa_stop_reason=result.stop_reason,
-        metrics=macro_report(test_ds.labels, predictions, train_ds.class_names),
+        metrics=macro_report(test_ds.labels, predictions),
         attack_confusion=binary_attack_confusion(test_ds.labels, predictions),
         seconds=time.perf_counter() - started,
     )
@@ -301,7 +296,6 @@ def cross_validate(
     return CvReport(
         k=k,
         seed=seed,
-        class_names=CLASS_NAMES,
         folds=tuple(fold_reports),
         macro_mean={m: float(v.mean()) for m, v in macro_values.items()},
         macro_std={m: float(v.std()) for m, v in macro_values.items()},

@@ -51,7 +51,7 @@ def project_features(dataset: Dataset, mask: np.ndarray) -> Dataset:
         )
     if not mask.any():
         raise DataError("cannot project an empty feature mask")
-    return Dataset(dataset.rows[:, mask], dataset.labels, dataset.class_names)
+    return Dataset(dataset.rows[:, mask], dataset.labels)
 
 
 def error_rate(counts: ConfusionCounts) -> float:

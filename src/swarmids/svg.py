@@ -35,10 +35,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         step = mult * power
         if raw_step <= step:
             break
-    # Index the multiples of step, so a step below lo's ulp cannot stall.
+    if max(abs(lo), abs(hi)) > 1e12 * step:
+        # Multiples of step are not distinct floats this close to the values:
+        # tick evenly instead. hi - lo is exact here, so ticks stay in range.
+        return sorted({lo + (hi - lo) * (i / target) for i in range(target + 1)})
+    # Index the multiples of step and round them to step's last decimal.
     first = math.ceil(lo / step)
     last = math.floor(hi / step + 1e-9)
-    return [round(i * step, 12) for i in range(first, last + 1)]
+    decimals = max(12, 1 - math.floor(math.log10(step)))
+    return [round(i * step, decimals) for i in range(first, last + 1)]
 
 
 def _header(title: str, meta: Mapping[str, str] | None) -> list[str]:
@@ -81,7 +86,11 @@ def _y_grid(lines: list[str], lo: float, hi: float) -> Callable[[float], float]:
     def sy(v: float) -> float:
         return HEIGHT - MARGIN_BOTTOM - (v - lo) / (hi - lo) * _PLOT_H
 
-    for tick in _nice_ticks(lo, hi):
+    ticks = _nice_ticks(lo, hi)
+    labels = [_fmt(tick) for tick in ticks]
+    if len(set(labels)) < len(labels):  # a range too narrow for 6 digits
+        labels = [repr(tick) for tick in ticks]
+    for tick, label in zip(ticks, labels):
         y = sy(tick)
         lines.append(
             f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{WIDTH - MARGIN_RIGHT}" '
@@ -89,7 +98,7 @@ def _y_grid(lines: list[str], lo: float, hi: float) -> Callable[[float], float]:
         )
         lines.append(
             f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt(tick)}</text>'
+            f'font-family="sans-serif" font-size="12">{label}</text>'
         )
     return sy
 

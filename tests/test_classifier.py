@@ -17,7 +17,7 @@ from swarmids.classifier import (
     train_binary,
     train_ova,
 )
-from swarmids.dataset import Dataset
+from swarmids.dataset import CLASS_NAMES, Dataset
 from swarmids.errors import ConfigError, TrainingError
 from swarmids.seeds import derive_seed
 
@@ -110,7 +110,8 @@ class TestTrainBinary:
 
 def decision(plane, x):
     """w.x - b of one plane for one vector, through ``decision_values``."""
-    model = SvmModel(("pos",), (plane,), np.ones(plane.w.shape[0], dtype=bool))
+    planes = (plane,) + (None,) * (len(CLASS_NAMES) - 1)
+    model = SvmModel(planes, np.ones(plane.w.shape[0], dtype=bool))
     return float(decision_values(model, x)[0, 0])
 
 
@@ -165,7 +166,7 @@ def _five_class_dataset(seed=0, n_per_class=30):
     for cls, center in enumerate(centers):
         rows.append(rng.normal(center, 0.06, (n_per_class, 2)))
         labels += [cls] * n_per_class
-    return Dataset(np.vstack(rows), np.array(labels), ("A", "B", "C", "D", "E"))
+    return Dataset(np.vstack(rows), np.array(labels))
 
 
 def _ova(dataset, config):
@@ -183,7 +184,7 @@ class TestOneVsAll:
     def test_two_class_reduces_to_binary_sign(self):
         ds = _five_class_dataset()
         keep = ds.labels < 2
-        two = Dataset(ds.rows[keep], ds.labels[keep], ds.class_names)
+        two = Dataset(ds.rows[keep], ds.labels[keep])
         model = _ova(two, SvmConfig(epochs=20, seed=1))
         values = decision_values(model, two.rows)
         predictions = predict(model, two.rows)
@@ -193,7 +194,7 @@ class TestOneVsAll:
     def test_absent_class_never_predicted(self):
         ds = _five_class_dataset()
         keep = ds.labels != 2
-        partial = Dataset(ds.rows[keep], ds.labels[keep], ds.class_names)
+        partial = Dataset(ds.rows[keep], ds.labels[keep])
         model = _ova(partial, SvmConfig(epochs=10, seed=2))
         assert model.planes[2] is None
         predictions = predict(model, ds.rows)
@@ -203,7 +204,7 @@ class TestOneVsAll:
         ds = _five_class_dataset()
         keep = ds.labels == 0
         with pytest.raises(TrainingError):
-            _ova(Dataset(ds.rows[keep], ds.labels[keep], ds.class_names), SvmConfig())
+            _ova(Dataset(ds.rows[keep], ds.labels[keep]), SvmConfig())
 
     def test_training_accuracy_on_separated_clusters(self):
         # The middle cluster is not linearly separable one-vs-rest, so a
@@ -221,7 +222,7 @@ def _signed_dataset(seed=0, features=6, absent=()):
     rows = rng.normal(size=(100, features)) + labels[:, None] * 0.3
     rows[rng.random(rows.shape) < 0.1] = 0.0
     keep = ~np.isin(labels, absent)
-    return Dataset(rows[keep], labels[keep], ("A", "B", "C", "D", "E"))
+    return Dataset(rows[keep], labels[keep])
 
 
 class TestTrainOvaMany:
@@ -277,12 +278,20 @@ class TestTrainOvaMany:
                 train_ova(ds, SvmConfig(epochs=1), [np.ones(6, dtype=bool)] * count, [0] * count)
 
 
+class TestSvmModel:
+    @pytest.mark.parametrize("count", [len(CLASS_NAMES) - 1, len(CLASS_NAMES) + 1])
+    def test_one_plane_per_class_required(self, count):
+        planes = (Hyperplane(np.ones(2), 0.0),) * count
+        with pytest.raises(TrainingError, match="one plane per class"):
+            SvmModel(planes, np.ones(2, dtype=bool))
+
+
 class TestPredict:
     def _fixed_model(self, decisions):
         # Planes with w=0 produce constant decision -b, so any decision
         # vector can be staged exactly.
         planes = tuple(Hyperplane(np.zeros(2), -d) for d in decisions)
-        return SvmModel(("c0", "c1", "c2", "c3", "c4"), planes, np.array([True, True]))
+        return SvmModel(planes, np.array([True, True]))
 
     def test_argmax(self):
         model = self._fixed_model([0.2, -1.0, 3.1, 0.0, 0.1])
@@ -295,16 +304,15 @@ class TestPredict:
     def test_toy_plane_predicts_positive_side(self):
         x, y = _two_point_toy()
         labels = (y > 0).astype(np.int64)
-        ds = Dataset(x, labels, ("neg", "pos"))
+        ds = Dataset(x, labels)
         model = _ova(ds, SvmConfig(epochs=120, seed=0))
         assert predict(model, np.array([5.0, 0.0])) == 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
-        planes = tuple(Hyperplane(rng.normal(size=3), float(rng.normal())) for _ in range(4))
-        model = SvmModel(("a", "b", "c", "d"), planes, np.ones(3, dtype=bool))
+        planes = tuple(Hyperplane(rng.normal(size=3), float(rng.normal())) for _ in range(5))
+        model = SvmModel(planes, np.ones(3, dtype=bool))
         scaled = SvmModel(
-            model.class_names,
             tuple(Hyperplane(p.w * 7.5, p.b * 7.5) for p in model.planes),
             model.mask,
         )

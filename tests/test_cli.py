@@ -1,12 +1,17 @@
 """CLI: subcommands, artifacts, exit codes, config round-trip, SVG output."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import swarmids
 from swarmids import classifier
 from swarmids._kernels import _hinge_sgd_py
 from swarmids.cli import RunConfig, config_digest, config_from_text, config_to_text, main
@@ -299,6 +304,18 @@ class TestExitCodes:
         assert run_cli(["select", "--config", str(cfg)]) == 1
         assert not (out / "select_mask.txt").exists()
         assert not (out / "evaluate_report.json").exists()
+
+    def test_module_run_exits_with_main_code(self, tmp_path):
+        # ``python -m swarmids.cli`` runs the same entry point as ``swarmids``.
+        src = str(Path(swarmids.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "swarmids.cli", "prepare",
+             "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("data error: dataset file not found:")
 
 
 class TestBackendNotice:

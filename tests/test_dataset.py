@@ -84,6 +84,12 @@ class TestLabels:
         with pytest.raises(UnknownLabelError, match="sneaky_new_attack"):
             map_label("sneaky_new_attack")
 
+    @pytest.mark.parametrize("bad", [-1, len(CLASS_NAMES)])
+    def test_dataset_rejects_label_outside_class_list(self, bad):
+        labels = [0] * 10 + [bad] * 10
+        with pytest.raises(DataError, match=f"label {bad} is outside"):
+            Dataset(np.zeros((20, 3)), labels)
+
 
 def _records_with_column(values, column=1):
     records = []
@@ -143,8 +149,8 @@ class TestEncoding:
 
     def test_artifact_round_trip(self, synth_records):
         table = fit_encoding(synth_records, fitted_on="test")
-        lines = encoding_to_text(table, header={"tool": "test"}).splitlines()
-        assert lines[:2] == ["# tool=test", "fitted_on=test"]
+        lines = encoding_to_text(table).splitlines()
+        assert lines[0] == "fitted_on=test"
         codes = {}
         for line in lines:
             key, _, value = line.partition("=")
@@ -196,8 +202,8 @@ class TestNormalize:
 
     def test_stats_artifact_round_trip(self, synth_dataset):
         stats = fit_normalize(synth_dataset)
-        text = norm_stats_to_text(stats, header={"a": "b"})
-        values = dict(line.split("=", 1) for line in text.splitlines()[1:])
+        text = norm_stats_to_text(stats)
+        values = dict(line.split("=", 1) for line in text.splitlines())
         for i in range(N_FEATURES):
             assert float(values[f"feature.{i}.min"]) == stats.mins[i]
             assert float(values[f"feature.{i}.max"]) == stats.maxs[i]

@@ -107,26 +107,40 @@ def _brute_force_metrics(truth, predicted, target):
 
 
 class TestMacroReport:
+    @pytest.mark.parametrize("truth, pred, which", [
+        ([0, 7, 7], [0, 0, 7], "truth"),
+        ([0, 1, 1], [0, 7, -1], "predicted"),
+    ], ids=["truth", "predicted"])
+    def test_label_outside_class_list_rejected(self, truth, pred, which):
+        with pytest.raises(DataError, match=f"{which} label (7|-1) is outside"):
+            macro_report(truth, pred)
+
+    def test_support_is_truth_rows_per_class(self):
+        truth = [0, 0, 1, 3, 3, 3]
+        pred = [0, 1, 1, 3, 0, 2]
+        support = macro_report(truth, pred).to_dict()["support"]
+        assert support == {"Normal": 2, "DoS": 1, "Probe": 0, "U2R": 3, "R2L": 0}
+
     def test_mean_of_two_classes(self):
         # class 0: tpr 1.0 (2/2); class 1: tpr 0.8 (4/5)
         truth = [0, 0, 1, 1, 1, 1, 1]
         pred = [0, 0, 1, 1, 1, 1, 0]
-        report = macro_report(truth, pred, ("a", "b"))
-        assert tpr(report.per_class["a"]) == 1.0
-        assert tpr(report.per_class["b"]) == 0.8
+        report = macro_report(truth, pred)
+        assert tpr(report.per_class[CLASS_NAMES[0]]) == 1.0
+        assert tpr(report.per_class[CLASS_NAMES[1]]) == 0.8
         assert report.macro["tpr"] == pytest.approx(0.9)
 
     def test_single_class_truth_equals_its_metrics(self):
         truth = [1, 1, 1]
         pred = [1, 0, 1]
-        report = macro_report(truth, pred, ("a", "b"))
-        assert report.macro["tpr"] == tpr(report.per_class["b"])
+        report = macro_report(truth, pred)
+        assert report.macro["tpr"] == tpr(report.per_class[CLASS_NAMES[1]])
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(7)
         truth = rng.integers(0, 5, 1000)
         pred = rng.integers(0, 5, 1000)
-        report = macro_report(truth, pred, CLASS_NAMES)
+        report = macro_report(truth, pred)
         for index, name in enumerate(CLASS_NAMES):
             tp, fn, fp, tn = _brute_force_metrics(truth, pred, index)
             counts = report.per_class[name]
@@ -139,14 +153,14 @@ class TestMacroReport:
         rng = np.random.default_rng(3)
         truth = rng.integers(0, 5, 500)
         pred = rng.integers(0, 5, 500)
-        report = macro_report(truth, pred, CLASS_NAMES)
+        report = macro_report(truth, pred)
         total_tp = sum(c.tp for c in report.per_class.values())
         assert total_tp == int(np.sum(truth == pred))
 
     def test_weighted_average_emitted(self):
         truth = [0] * 9 + [1]
         pred = [0] * 9 + [0]
-        report = macro_report(truth, pred, ("a", "b"))
+        report = macro_report(truth, pred)
         assert report.weighted["tpr"] == pytest.approx(0.9 * 1.0 + 0.1 * 0.0)
 
 

@@ -140,7 +140,6 @@ def _stub_trainer(decisions):
     def train(dataset, config, masks, seeds):
         return [
             SvmModel(
-                tuple(dataset.class_names),
                 tuple(Hyperplane(np.zeros(int(mask.sum())), -d) for d in decisions),
                 mask,
             )

@@ -1,5 +1,6 @@
 """Package structure, read from the source with ``ast``: the internal
-import graph has no cycle, and no module reads the environment."""
+import graph has no cycle, no module reads the environment, and the class
+list lives only in ``dataset.CLASS_NAMES``."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,36 @@ def test_no_module_reads_the_environment():
             ):
                 reads.append(f"{name}:{node.lineno}")
     assert not reads, f"environment reads: {reads}"
+
+
+def _fields_and_parameters(tree: ast.AST, name: str) -> list[int]:
+    """Lines where ``name`` is a class field or a function parameter."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg == name:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                targets = getattr(item, "targets", [getattr(item, "target", None)])
+                if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                    lines.append(item.lineno)
+    return lines
+
+
+def test_field_and_parameter_finder():
+    tree = ast.parse(
+        "class A:\n    class_names: tuple\nclass B:\n    class_names = ()\n"
+        "def f(x, *, class_names=None): pass\nclass_names = ()\n"
+    )
+    assert _fields_and_parameters(tree, "class_names") == [2, 4, 5]
+
+
+def test_class_list_is_not_carried_around():
+    # Datasets, models and reports use dataset.CLASS_NAMES; none keeps a copy.
+    found = [
+        f"{name}:{line}"
+        for name, path in _modules().items()
+        for line in _fields_and_parameters(ast.parse(path.read_text(encoding="utf-8")),
+                                           "class_names")
+    ]
+    assert not found, f"class_names as a field or parameter: {found}"

@@ -31,6 +31,21 @@ def test_ticks_pinned(lo, hi, ticks):
     assert svg._nice_ticks(lo, hi) == ticks
 
 
+def test_adjacent_floats_keep_distinct_grid_lines():
+    # A best-fitness history 1 ulp wide still gets two or more grid lines
+    # inside the plot area, each with its own label.
+    chart = svg.line_chart([1, 2], [1.3073170731707315, 1.3073170731707318],
+                           "t", "iteration", "fitness")
+    root = ET.fromstring(chart)
+    ns = "{http://www.w3.org/2000/svg}"
+    rows = [float(line.get("y1")) for line in root.iter(f"{ns}line")]
+    labels = [text.text for text in root.iter(f"{ns}text")
+              if text.get("x") == str(svg.MARGIN_LEFT - 8)]
+    assert len(set(rows)) >= 2
+    assert all(svg.MARGIN_TOP <= y <= svg.HEIGHT - svg.MARGIN_BOTTOM for y in rows)
+    assert len(labels) == len(rows) == len(set(labels))
+
+
 def _capped():
     # The child may not grow past 1 GiB, so an unbounded tick list fails fast.
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
