@@ -42,8 +42,10 @@ class SvmConfig:
             raise ConfigError(f"svm C must be positive and finite, got {self.c}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.step_offset is not None and not self.step_offset >= 0:
-            raise ConfigError(f"step_offset must not be negative, got {self.step_offset}")
+        if self.step_offset is not None and not 0 <= self.step_offset < math.inf:
+            raise ConfigError(
+                f"step_offset must not be negative or infinite, got {self.step_offset}"
+            )
 
 
 @dataclass(frozen=True)
@@ -203,13 +205,14 @@ def train_ova(
 
 
 def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    """(n, n_classes) decision matrix; -inf columns for absent classes."""
+    """(n, n_classes) decision matrix over the columns of the full-width
+    rows ``x`` that the model's mask selects; -inf for absent classes."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    dim = int(model.mask.sum())
-    if x.shape[1] != dim:
+    if x.shape[1] != model.mask.size:
         raise TrainingError(
-            f"dimension mismatch: rows have {x.shape[1]} features, model expects {dim}"
+            f"dimension mismatch: rows have {x.shape[1]} features, model expects {model.mask.size}"
         )
+    x = x.compress(model.mask, axis=1)
     out = np.full((x.shape[0], len(model.planes)), -np.inf, dtype=np.float64)
     for k, plane in enumerate(model.planes):
         if plane is not None:
@@ -218,8 +221,9 @@ def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict(model: SvmModel, x: np.ndarray) -> int | np.ndarray:
-    """Argmax class index over decision values; ties go to the lowest
-    class index. Scalar for a single vector, array for a matrix."""
+    """Argmax class index over decision values of full-width rows; ties go
+    to the lowest class index. Scalar for a single vector, array for a
+    matrix."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     values = decision_values(model, x)

@@ -37,10 +37,10 @@ from .dataset import (
     map_label,
     stratified_fold_indices,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .optimizer import GoaConfig, mask_to_bitstring, run
 from .seeds import derive_seed
-from .selection import WrapperObjective, project_features
+from .selection import WrapperObjective
 
 # Each per-class rate, by the name the reports use for it.
 METRICS = {"tpr": tpr, "fpr": fpr, "tnr": tnr, "fnr": fnr, "accuracy": accuracy}
@@ -62,13 +62,18 @@ def _degenerate_metrics(c: ConfusionCounts) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-class one-vs-rest counts by class name, plus unweighted macro
-    averages of their rates over the classes present in truth (averages
-    weighted by support, tp + fn, included for information)."""
+    """Per-class one-vs-rest counts keyed by ``CLASS_NAMES`` in order (a
+    ``DataError`` otherwise), plus unweighted macro averages of their rates
+    over the classes present in truth (averages weighted by support,
+    tp + fn, included for information)."""
 
     per_class: Mapping[str, ConfusionCounts]
     macro: Mapping[str, float]
     weighted: Mapping[str, float]
+
+    def __post_init__(self):
+        if tuple(self.per_class) != CLASS_NAMES:
+            raise DataError(f"per_class keys {list(self.per_class)} are not CLASS_NAMES in order")
 
     def value(self, name: str, metric: str) -> float:
         """Rate ``metric`` (one of ``METRIC_NAMES``) of class ``name``."""
@@ -225,7 +230,7 @@ def _run_fold(
     (model,) = train_ova(train_ds, svm_config, [result.best_mask], [derive_seed(fold_seed, "svm")])
     if audit is not None:
         audit("final_train", fold, train_idx)
-    predictions = predict(model, project_features(test_ds, result.best_mask).rows)
+    predictions = predict(model, test_ds.rows)
     if audit is not None:
         audit("test_predict", fold, test_idx)
 

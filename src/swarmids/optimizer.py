@@ -9,6 +9,7 @@ equal-fitness incumbent updates let the swarm drift across plateaus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -45,30 +46,17 @@ class GoaConfig:
             raise ConfigError(
                 f"fitness_delta_stop must not be negative, got {self.fitness_delta_stop}"
             )
+        for name in ("c_max", "c_min", "s_f", "s_l"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.s_l > 0:
+            raise ConfigError(f"s_l must be positive, got {self.s_l}")
         if not self.c_min < self.c_max:
             raise ConfigError("c_min must be strictly below c_max")
         for name in ("swap_prob", "reversion_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-
-
-@dataclass
-class Swarm:
-    """Population state: continuous positions, their binary masks, and the
-    best-so-far record."""
-
-    positions: np.ndarray
-    masks: np.ndarray
-    best_position: np.ndarray | None = None
-    best_mask: np.ndarray | None = None
-    best_fitness: float = -np.inf
-    iteration: int = 0
-    c: float = np.nan
-
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
 
 
 class IterationRecord(NamedTuple):
@@ -81,7 +69,6 @@ class IterationRecord(NamedTuple):
 @dataclass(frozen=True)
 class GoaResult:
     best_mask: np.ndarray
-    best_position: np.ndarray
     best_fitness: float
     history: tuple[IterationRecord, ...]
     stop_reason: str
@@ -108,13 +95,18 @@ def update_c(t: int, config: GoaConfig) -> float:
     return config.c_max - (t / config.max_iterations) * (config.c_max - config.c_min)
 
 
-def binarize(position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Threshold at 0.5 (inclusive); an all-zero result is repaired by
-    setting one uniformly random bit."""
-    mask = np.asarray(position, dtype=np.float64) >= 0.5
+def _repair(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Set one uniformly random bit of an all-zero mask, in place; a
+    non-empty mask draws nothing."""
     if not mask.any():
         mask[int(rng.integers(mask.size))] = True
     return mask
+
+
+def binarize(position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Threshold at 0.5 (inclusive); an all-zero result is repaired by
+    setting one uniformly random bit."""
+    return _repair(np.asarray(position, dtype=np.float64) >= 0.5, rng)
 
 
 def swap_mutation(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -146,31 +138,30 @@ def reversion_mutation(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return flip_span(mask, i, j)
 
 
-def init_swarm(config: GoaConfig, rng: np.random.Generator) -> Swarm:
-    """Uniform random positions in the unit box; masks binarized."""
+def init_swarm(config: GoaConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform random positions in the unit box, and their binarized masks."""
     positions = rng.uniform(0.0, 1.0, (config.population_size, config.dim))
-    masks = np.stack([binarize(p, rng) for p in positions])
-    return Swarm(positions=positions, masks=masks, c=config.c_max)
+    return positions, np.stack([binarize(p, rng) for p in positions])
+
+
+# Pairs of members closer than this exert no force on each other.
+_MIN_DISTANCE = 1e-12
 
 
 def social_step(
-    positions: np.ndarray,
-    best_position: np.ndarray,
-    c: float,
-    config: GoaConfig,
-    eps: float = 1e-12,
+    positions: np.ndarray, best_position: np.ndarray, c: float, config: GoaConfig
 ) -> np.ndarray:
     """One synchronous position update:
 
         x_i <- c * sum_j c * (ub-lb)/2 * s(|x_j - x_i|) * (x_j - x_i)/d_ij
                + best
 
-    with (ub-lb)/2 = 0.5 in the unit box and pairs closer than ``eps``
-    skipped, then clamped to the box.
+    with (ub-lb)/2 = 0.5 in the unit box and pairs closer than
+    ``_MIN_DISTANCE`` skipped, then clamped to the box.
     """
     diff = positions[None, :, :] - positions[:, None, :]  # diff[i, j] = x_j - x_i
     dist = np.sqrt(np.sum(diff * diff, axis=2))
-    keep = dist >= eps
+    keep = dist >= _MIN_DISTANCE
     np.fill_diagonal(keep, False)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = 0.5 * s_social(dist, config.s_f, config.s_l)[:, :, None] * diff / dist[:, :, None]
@@ -180,18 +171,24 @@ def social_step(
 
 
 def update_positions(
-    swarm: Swarm, c: float, config: GoaConfig, rng: np.random.Generator
-) -> Swarm:
-    """Apply the social step to every member, re-binarize, then mutate.
+    positions: np.ndarray,
+    best_position: np.ndarray,
+    c: float,
+    config: GoaConfig,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """New positions and masks: the social step moves every member, whose
+    position is then re-binarized and mutated.
 
     Mutated masks are written back into positions as 0.0/1.0 so the
     mutation survives the next binarization. RNG draws happen in member
     order: binarize repair, swap gate (+indices), reversion gate
     (+span), empty-mask repair.
     """
-    swarm.positions = social_step(swarm.positions, swarm.best_position, c, config)
-    for i in range(swarm.size):
-        mask = binarize(swarm.positions[i], rng)
+    positions = social_step(positions, best_position, c, config)
+    masks = np.empty(positions.shape, dtype=bool)
+    for i, position in enumerate(positions):
+        mask = binarize(position, rng)
         mutated = False
         if rng.random() < config.swap_prob:
             mask = swap_mutation(mask, rng)
@@ -199,13 +196,10 @@ def update_positions(
         if rng.random() < config.reversion_prob:
             mask = reversion_mutation(mask, rng)
             mutated = True
-        if mutated and not mask.any():
-            mask = mask.copy()
-            mask[int(rng.integers(mask.size))] = True
-        swarm.masks[i] = mask
+        masks[i] = _repair(mask, rng)
         if mutated:
-            swarm.positions[i] = mask.astype(np.float64)
-    return swarm
+            positions[i] = masks[i]
+    return positions, masks
 
 
 Objective = Callable[[Sequence[np.ndarray]], Sequence[float]]
@@ -248,42 +242,25 @@ def run(objective: Objective, config: GoaConfig) -> GoaResult:
     is monotone non-decreasing in best fitness.
     """
     rng = np.random.default_rng(config.seed)
-    swarm = init_swarm(config, rng)
+    positions, masks = init_swarm(config, rng)
+    best_fitness, best_position, best_mask = -np.inf, None, None
     history: list[IterationRecord] = []
     stop_reason = "max_iterations"
-    while True:
-        t = swarm.iteration + 1
-        swarm.iteration = t
-        swarm.c = update_c(t - 1, config)
-        for i, value in enumerate(_evaluate(objective, swarm.masks)):
+    for t in range(1, config.max_iterations + 1):
+        c = update_c(t - 1, config)
+        previous = best_fitness
+        for i, value in enumerate(_evaluate(objective, masks)):
             # >= lets the incumbent drift across equal-fitness plateaus.
-            if value >= swarm.best_fitness:
-                swarm.best_fitness = value
-                swarm.best_position = swarm.positions[i].copy()
-                swarm.best_mask = swarm.masks[i].copy()
-        history.append(
-            IterationRecord(
-                iteration=t,
-                c=swarm.c,
-                best_fitness=swarm.best_fitness,
-                best_popcount=int(swarm.best_mask.sum()),
-            )
-        )
-        if len(history) >= 2 and (
-            history[-1].best_fitness - history[-2].best_fitness < config.fitness_delta_stop
-        ):
+            if value >= best_fitness:
+                best_fitness = value
+                best_position, best_mask = positions[i].copy(), masks[i].copy()
+        history.append(IterationRecord(t, c, best_fitness, int(best_mask.sum())))
+        if t > 1 and best_fitness - previous < config.fitness_delta_stop:
             stop_reason = "fitness_delta"
             break
-        if t >= config.max_iterations:
-            break
-        update_positions(swarm, swarm.c, config, rng)
-    return GoaResult(
-        best_mask=swarm.best_mask,
-        best_position=swarm.best_position,
-        best_fitness=swarm.best_fitness,
-        history=tuple(history),
-        stop_reason=stop_reason,
-    )
+        if t < config.max_iterations:
+            positions, masks = update_positions(positions, best_position, c, config, rng)
+    return GoaResult(best_mask, best_fitness, tuple(history), stop_reason)
 
 
 def history_csv(history: Sequence[IterationRecord]) -> str:

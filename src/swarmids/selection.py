@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifier import SvmConfig, predict, train_ova
 from .confusion import ConfusionCounts, binary_attack_confusion, tpr
-from .dataset import Dataset, stratified_sample_indices
+from .dataset import CLASS_NAMES, Dataset, stratified_sample_indices
 from .errors import DataError
 from .optimizer import mask_to_bitstring
 from .seeds import derive_seed
@@ -74,7 +74,7 @@ def mask_fitness(
     masks = [np.asarray(mask, dtype=bool) for mask in masks]
     out = []
     for mask, model in zip(masks, train_ova(fit_ds, svm_config, masks, seeds)):
-        predictions = predict(model, project_features(val_ds, mask).rows)
+        predictions = predict(model, val_ds.rows)
         counts = binary_attack_confusion(val_ds.labels, predictions)
         r_tp = tpr(counts)
         r_e = error_rate(counts)
@@ -102,7 +102,8 @@ class WrapperObjective:
     """Population objective mapping masks to wrapper fitness.
 
     The fit/validation split is fixed at construction so fitness values
-    are comparable across masks. Each distinct mask trains under a seed
+    are comparable across masks; a fit split with fewer than two classes
+    is a ``DataError``. Each distinct mask trains under a seed
     derived from (run_seed, bitstring), so results do not depend on
     evaluation order; repeat evaluations are served from a cache.
     ``objective(masks)`` trains the distinct uncached masks together (one
@@ -127,6 +128,12 @@ class WrapperObjective:
             train_ds.labels, derive_seed(run_seed, "fitness-split")
         )
         self.fit_ds = train_ds.take(self.fit_idx)
+        present = np.unique(self.fit_ds.labels)
+        if present.size < 2:
+            raise DataError(
+                "one-vs-all training needs at least two classes, but the fitness "
+                f"fit split holds only {CLASS_NAMES[present[0]]} rows"
+            )
         self.val_ds = train_ds.take(self.val_idx)
         self.run_seed = run_seed
         self.svm_config = replace(svm_config, epochs=fitness_epochs)

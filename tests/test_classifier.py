@@ -323,3 +323,18 @@ class TestPredict:
         model = self._fixed_model([0.0, 1.0, 2.0, 3.0, 4.0])
         with pytest.raises(TrainingError):
             predict(model, np.zeros(5))
+
+    def test_model_applies_its_own_mask(self):
+        rng = np.random.default_rng(6)
+        mask = np.array([True, False, True, True, False, False, True])
+        w, b = rng.normal(size=(4, len(CLASS_NAMES))), rng.normal(size=len(CLASS_NAMES))
+        model = SvmModel(tuple(Hyperplane(w[:, k], b[k]) for k in range(len(CLASS_NAMES))), mask)
+        rows = rng.normal(size=(40, mask.size))
+        expected = np.argmax(rows[:, mask] @ w - b, axis=1)
+        assert np.array_equal(predict(model, rows), expected)
+
+    def test_rows_of_popcount_width_rejected(self):
+        mask = np.array([True, False, True, True, False])
+        model = SvmModel((Hyperplane(np.ones(3), 0.0),) * len(CLASS_NAMES), mask)
+        with pytest.raises(TrainingError, match="dimension mismatch"):
+            predict(model, np.zeros((4, 3)))

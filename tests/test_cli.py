@@ -44,6 +44,8 @@ def run_cli():
 NONSENSE = [
     ("fitness_epochs", "0"), ("epochs", "0"), ("svm_c", "0"), ("svm_c", "nan"),
     ("svm_c", "inf"), ("delta_stop", "nan"), ("delta_stop", "-1"),
+    ("c_max", "inf"), ("c_min", "-inf"), ("s_f", "nan"), ("s_l", "nan"), ("s_l", "0"),
+    ("s_l", "-1"), ("step_offset", "inf"),
 ]
 
 
@@ -241,13 +243,18 @@ class TestEvaluateAndPipeline:
         assert len(artifacts[0]) == 19
         assert artifacts[0] == artifacts[1]
 
-    def test_single_class_data_exits_3(self, tmp_path, run_cli):
+    @pytest.mark.parametrize("stage", ["select", "evaluate"])
+    def test_single_class_data_exits_2(self, tmp_path, run_cli, capsys, stage):
+        # The fitness objective rejects the data before any mask trains.
         normal_only = make_kdd_csv(200, seed=1, weights=(1.0, 0.0, 0.0, 0.0, 0.0))
         data = tmp_path / "normal.csv"
         data.write_text(normal_only)
         out = tmp_path / "run"
         assert run_cli(["prepare", *_args(data, out, "--subsample", "0")]) == 0
-        assert run_cli(["evaluate", *_args(data, out, "--subsample", "0")]) == 3
+        capsys.readouterr()
+        assert run_cli([stage, *_args(data, out, "--subsample", "0")]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "at least two classes" in err
 
 
 class TestExitCodes:

@@ -15,6 +15,7 @@ from swarmids.dataset import CLASS_NAMES
 from swarmids.errors import ConfigError, DataError, DataWarning
 from swarmids.evaluation import (
     ConfusionCounts,
+    MetricsReport,
     accuracy,
     confusion_per_class,
     cross_validate,
@@ -114,6 +115,10 @@ class TestMacroReport:
     def test_label_outside_class_list_rejected(self, truth, pred, which):
         with pytest.raises(DataError, match=f"{which} label (7|-1) is outside"):
             macro_report(truth, pred)
+
+    def test_report_keys_must_be_class_list(self):
+        with pytest.raises(DataError, match="CLASS_NAMES"):
+            MetricsReport({"a": ConfusionCounts(1, 0, 0, 1)}, {}, {})
 
     def test_support_is_truth_rows_per_class(self):
         truth = [0, 0, 1, 3, 3, 3]

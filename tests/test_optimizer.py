@@ -144,21 +144,23 @@ class TestBitstrings:
 class TestInitSwarm:
     def test_shapes_and_bounds(self):
         config = GoaConfig(population_size=30, dim=41, seed=0)
-        swarm = init_swarm(config, np.random.default_rng(0))
-        assert swarm.positions.shape == (30, 41)
-        assert swarm.positions.min() >= 0.0 and swarm.positions.max() <= 1.0
-        assert swarm.masks.shape == (30, 41)
+        positions, masks = init_swarm(config, np.random.default_rng(0))
+        assert positions.shape == (30, 41)
+        assert positions.min() >= 0.0 and positions.max() <= 1.0
+        assert masks.shape == (30, 41)
 
     def test_deterministic(self):
         config = GoaConfig(population_size=10, dim=7, seed=42)
-        a, b = (init_swarm(config, np.random.default_rng(42)) for _ in range(2))
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.masks, b.masks)
+        (a_positions, a_masks), (b_positions, b_masks) = (
+            init_swarm(config, np.random.default_rng(42)) for _ in range(2)
+        )
+        assert np.array_equal(a_positions, b_positions)
+        assert np.array_equal(a_masks, b_masks)
 
     def test_roughly_half_bits_set(self):
         config = GoaConfig(population_size=30, dim=41, seed=1)
-        swarm = init_swarm(config, np.random.default_rng(1))
-        fraction = swarm.masks.mean()
+        _, masks = init_swarm(config, np.random.default_rng(1))
+        fraction = masks.mean()
         assert 0.4 <= fraction <= 0.6
 
 
@@ -193,11 +195,10 @@ class TestSocialStep:
     def test_update_positions_rebinarizes(self):
         config = GoaConfig(population_size=5, dim=6, seed=0, swap_prob=0.0, reversion_prob=0.0)
         rng = np.random.default_rng(0)
-        swarm = init_swarm(config, rng)
-        swarm.best_position = swarm.positions[0].copy()
-        update_positions(swarm, 0.5, config, rng)
-        for i in range(swarm.size):
-            assert np.array_equal(swarm.masks[i], swarm.positions[i] >= 0.5)
+        positions, _ = init_swarm(config, rng)
+        positions, masks = update_positions(positions, positions[0], 0.5, config, rng)
+        for i in range(config.population_size):
+            assert np.array_equal(masks[i], positions[i] >= 0.5)
 
 
 def _per_mask(fn):
@@ -328,13 +329,13 @@ class TestRun:
         assert a.history == b.history and a.stop_reason == b.stop_reason
         assert a.best_fitness == b.best_fitness
         assert np.array_equal(a.best_mask, b.best_mask)
-        assert np.array_equal(a.best_position, b.best_position)
         assert objectives[0].evaluations == objectives[1].evaluations
 
     def test_many_failure_names_the_failing_mask(self):
         config = GoaConfig(population_size=4, dim=6, seed=0)
         # run draws the first population from a generator seeded with config.seed.
-        bad = mask_to_bitstring(init_swarm(config, np.random.default_rng(config.seed)).masks[2])
+        _, population = init_swarm(config, np.random.default_rng(config.seed))
+        bad = mask_to_bitstring(population[2])
 
         def broken(masks):
             if any(mask_to_bitstring(mask) == bad for mask in masks):
@@ -350,7 +351,8 @@ class TestRun:
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_fitness_raises(self, value):
         config = GoaConfig(population_size=4, dim=6, seed=0)
-        bad = mask_to_bitstring(init_swarm(config, np.random.default_rng(config.seed)).masks[1])
+        _, population = init_swarm(config, np.random.default_rng(config.seed))
+        bad = mask_to_bitstring(population[1])
 
         def objective(masks):
             return [value if mask_to_bitstring(m) == bad else 0.5 for m in masks]
@@ -359,6 +361,25 @@ class TestRun:
             run(objective, config)
         assert err.value.mask_bits == bad
         assert "not finite" in str(err.value)
+
+    def test_pinned_run_with_both_mutations(self):
+        # Pins the result of a run whose swap gate and reversion gate both
+        # fire; one reversion empties a mask after iteration 3, so the
+        # repair draw is pinned too. A reordered rng draw changes it.
+        config = GoaConfig(population_size=6, dim=6, max_iterations=12, fitness_delta_stop=0.0,
+                           swap_prob=0.5, reversion_prob=1.0, seed=26)
+        result = run(_hash_objective(26), config)
+        history = [(rec.iteration, rec.best_fitness, rec.best_popcount) for rec in result.history]
+        assert history == [
+            (1, 0.898836778738775, 3), (2, 0.898836778738775, 3),
+            (3, 0.9179243426014746, 5), (4, 0.9179243426014746, 5),
+            (5, 0.9577419179065307, 4),
+            *((t, 0.9798129651302293, 2) for t in range(6, 13)),
+        ]
+        assert [rec.c for rec in result.history] == [update_c(t, config) for t in range(12)]
+        assert mask_to_bitstring(result.best_mask) == "010001"
+        assert result.best_fitness == 0.9798129651302293
+        assert result.stop_reason == "max_iterations"
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
