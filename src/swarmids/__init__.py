@@ -11,7 +11,7 @@ from .dataset import (
     Dataset,
     EncodingTable,
     NormStats,
-    RawRecord,
+    Record,
     apply_normalize,
     encode,
     fit_encoding,
@@ -37,7 +37,7 @@ __all__ = [
     "Hyperplane",
     "MetricsReport",
     "NormStats",
-    "RawRecord",
+    "Record",
     "SvmConfig",
     "SvmModel",
     "WrapperObjective",

@@ -30,14 +30,16 @@ from .dataset import (
     FEATURE_NAMES,
     apply_normalize,
     class_histogram,
+    class_labels,
     encode,
+    encoded_to_text,
     encoding_to_text,
     fit_encoding,
     fit_normalize,
-    map_label,
     norm_stats_to_text,
     parse_kdd,
     stratified_sample_indices,
+    to_columns,
 )
 from .errors import ConfigError, DataError, SwarmidsError
 from .evaluation import METRIC_NAMES, cross_validate, report_to_json
@@ -194,11 +196,6 @@ def _read_records(path: Path, missing: str):
         return parse_kdd(stream)
 
 
-def _record_line(record) -> str:
-    tail = [record.label] if record.difficulty is None else [record.label, str(record.difficulty)]
-    return ",".join(list(record.features) + tail)
-
-
 def cmd_prepare(config: RunConfig) -> int:
     """Parse, subsample, encode, and normalize; write audit artifacts."""
     out = _out_dir(config)
@@ -210,12 +207,12 @@ def cmd_prepare(config: RunConfig) -> int:
     records = _read_records(Path(config.data), "dataset file not found: {}")
     if not records:
         raise DataError(f"no records in {config.data}")
-    labels = np.array([map_label(r.label) for r in records], dtype=np.int64)
+    labels = class_labels([r.label for r in records])
 
     n = config.subsample
     if n and n < len(records):
         keep = stratified_sample_indices(labels, n, derive_seed(stage_seed, "subsample"))
-        records = [records[int(i)] for i in keep]
+        records = [records[i] for i in keep.tolist()]
         labels = labels[keep]
     elif n > len(records):
         print(
@@ -223,8 +220,9 @@ def cmd_prepare(config: RunConfig) -> int:
             file=sys.stderr,
         )
 
-    encoding = fit_encoding(records, fitted_on=f"prepare[{len(records)} rows]")
-    raw_ds = encode(records, encoding)
+    columns = to_columns(records)
+    encoding = fit_encoding(columns, fitted_on=f"prepare[{len(columns)} rows]")
+    raw_ds = encode(columns, encoding)
     stats = fit_normalize(raw_ds)
     normalized = apply_normalize(raw_ds, stats)
 
@@ -232,7 +230,7 @@ def cmd_prepare(config: RunConfig) -> int:
     _write(
         out / "prepare_data.csv",
         _meta_lines({**meta, "rows": str(len(records))})
-        + "\n".join(_record_line(r) for r in records)
+        + "\n".join(r.line for r in records)
         + "\n",
     )
     _write(out / "prepare_encoding.txt", _meta_lines(meta) + encoding_to_text(encoding))
@@ -243,15 +241,10 @@ def cmd_prepare(config: RunConfig) -> int:
         _meta_lines(meta) + "class,count\n"
         + "".join(f"{name},{count}\n" for name, count in histogram.items()),
     )
-    matrix_lines = [
-        ",".join(repr(float(v)) for v in row) + f",{label}"
-        for row, label in zip(normalized.rows, normalized.labels)
-    ]
     _write(
         out / "prepare_encoded.csv",
         _meta_lines({**meta, "columns": "41 normalized features + label index"})
-        + "\n".join(matrix_lines)
-        + "\n",
+        + encoded_to_text(normalized),
     )
     print(
         f"prepared {normalized.n_rows} rows, {normalized.n_features} features, "
@@ -266,9 +259,9 @@ def cmd_select(config: RunConfig) -> int:
     meta = _meta(config, "select")
     stage_seed = derive_seed(config.seed, "select")
 
-    records = _read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING)
-    encoding = fit_encoding(records, fitted_on=f"select[{len(records)} rows]")
-    raw_ds = encode(records, encoding)
+    columns = to_columns(_read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING))
+    encoding = fit_encoding(columns, fitted_on=f"select[{len(columns)} rows]")
+    raw_ds = encode(columns, encoding)
     stats = fit_normalize(raw_ds)
     dataset = apply_normalize(raw_ds, stats)
 

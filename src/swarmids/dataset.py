@@ -1,9 +1,11 @@
 """NSL-KDD ingestion: parsing, categorical encoding, label mapping,
 min-max normalization, and stratified sampling/folding.
 
-String-valued columns are detected from the data and encoded with
-deterministic first-occurrence ordinal codes. The attack-name to
-category mapping ships as a versioned table under ``data/``.
+A parsed record stays one canonical text line until a stage encodes it;
+encoding splits the rows it is given once into columns. String-valued
+columns are detected from the data and encoded with deterministic
+first-occurrence ordinal codes. The attack-name to category mapping
+ships as a versioned table under ``data/``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,14 +56,44 @@ def _load_attack_table() -> dict[str, int]:
 ATTACK_CATEGORIES: dict[str, int] = _load_attack_table()
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """One connection record: 41 string features, attack name, optional
-    trailing difficulty score (metadata, never a feature)."""
+class Record(NamedTuple):
+    """One connection record as its canonical line: fields stripped, attack
+    name lower-cased, a trailing difficulty score written as a plain integer
+    (metadata, never a feature). ``label`` is the attack name. A stage splits
+    the line into fields only when it encodes the record."""
 
-    features: tuple[str, ...]
+    line: str
     label: str
-    difficulty: int | None = None
+
+
+@dataclass(frozen=True)
+class Columns:
+    """Records split once into their 41 string feature columns, plus their
+    attack names; ``len`` is the row count."""
+
+    features: tuple[list[str], ...]
+    labels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, indices: np.ndarray) -> "Columns":
+        """The rows at ``indices``, sharing this split's strings."""
+        idx = np.asarray(indices, dtype=np.int64).tolist()
+        return Columns(
+            tuple([values[i] for i in idx] for values in self.features),
+            tuple([self.labels[i] for i in idx]),
+        )
+
+
+def to_columns(records: Sequence[Record] | Columns) -> Columns:
+    """Split each record's line once into 41 feature columns."""
+    if isinstance(records, Columns):
+        return records
+    # maxsplit keeps every row N_FEATURES + 1 wide: the features, then the tail.
+    fields = list(chain.from_iterable(r.line.split(",", N_FEATURES) for r in records))
+    features = tuple(fields[col::N_FEATURES + 1] for col in range(N_FEATURES))
+    return Columns(features, tuple(r.label for r in records))
 
 
 @dataclass(frozen=True)
@@ -140,37 +173,53 @@ class NormStats:
         object.__setattr__(self, "maxs", maxs)
 
 
-def parse_kdd(source: Iterable[str] | str) -> list[RawRecord]:
+def _canonical_tail(tail: str, line: str, line_no: int) -> tuple[str, str]:
+    """A record's trailing fields (attack name, optional difficulty) in
+    canonical form, and the attack name."""
+    name, comma, difficulty = tail.partition(",")
+    label = name.lower()
+    if comma:
+        try:
+            difficulty = str(int(difficulty))
+        except ValueError:
+            raw = line.strip().rpartition(",")[2]
+            raise ParseError(f"difficulty field is not an integer: {raw!r}", line_no) from None
+    return label + comma + difficulty, label
+
+
+def parse_kdd(source: Iterable[str] | str) -> list[Record]:
     """Parse comma-separated NSL-KDD lines (42 or 43 fields) into records.
 
     Accepts an open text file, any iterable of lines, or a whole string.
     Blank lines and ``#`` comment lines are skipped. A 43rd field is the
-    difficulty score and must be an integer.
+    difficulty score and must be an integer. Every line is checked, but
+    only a line holding whitespace is split here, to strip its fields.
     """
     lines = source.splitlines() if isinstance(source, str) else source
-    records: list[RawRecord] = []
+    records: list[Record] = []
+    tails: dict[str, tuple[str, str]] = {}  # few distinct (name, difficulty) pairs
     for line_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        fields = text.split(",")
-        if len(fields) == N_FEATURES + 1:
-            difficulty = None
-        elif len(fields) == N_FEATURES + 2:
-            try:
-                difficulty = int(fields[-1])
-            except ValueError:
-                raise ParseError(
-                    f"difficulty field is not an integer: {fields[-1]!r}", line_no
-                ) from None
-        else:
+        n_fields = text.count(",") + 1
+        if n_fields not in (N_FEATURES + 1, N_FEATURES + 2):
             raise ParseError(
-                f"expected {N_FEATURES + 1} or {N_FEATURES + 2} fields, got {len(fields)}",
+                f"expected {N_FEATURES + 1} or {N_FEATURES + 2} fields, got {n_fields}",
                 line_no,
             )
-        features = tuple(f.strip() for f in fields[:N_FEATURES])
-        label = fields[N_FEATURES].strip().lower()
-        records.append(RawRecord(features, label, difficulty))
+        if len(text.split(None, 1)) > 1:
+            text = ",".join(field.strip() for field in text.split(","))
+        cut = text.rindex(",")
+        if n_fields == N_FEATURES + 2:
+            cut = text.rindex(",", 0, cut)
+        tail = text[cut + 1:]
+        if tail not in tails:
+            tails[tail] = _canonical_tail(tail, line, line_no)
+        canonical, label = tails[tail]
+        if canonical != tail:
+            text = text[: cut + 1] + canonical
+        records.append(Record(text, label))
     return records
 
 
@@ -190,30 +239,32 @@ def _is_float(value: str) -> bool:
     return True
 
 
-def fit_encoding(records: Sequence[RawRecord], fitted_on: str = "unspecified") -> EncodingTable:
+def class_labels(names: Sequence[str]) -> np.ndarray:
+    """Class index of each attack name; each distinct name is mapped once."""
+    codes = {name: map_label(name) for name in dict.fromkeys(names)}
+    return np.fromiter(map(codes.__getitem__, names), dtype=np.int64, count=len(names))
+
+
+def fit_encoding(
+    records: Sequence[Record] | Columns, fitted_on: str = "unspecified"
+) -> EncodingTable:
     """Build first-occurrence ordinal code maps for string-valued columns."""
-    if not records:
+    if not len(records):
         raise DataError("cannot fit an encoding on zero records")
-    # Ordered distinct values per column; categorical columns are the ones
-    # holding at least one non-numeric value.
-    distinct: list[dict[str, None]] = [dict() for _ in range(N_FEATURES)]
-    for record in records:
-        for col, value in enumerate(record.features):
-            distinct[col].setdefault(value)
+    # Categorical columns are the ones holding at least one non-numeric value.
     columns: dict[int, dict[str, int]] = {}
-    for col, values in enumerate(distinct):
-        if all(_is_float(v) for v in values):
-            continue
-        columns[col] = {value: code for code, value in enumerate(values)}
+    for col, values in enumerate(to_columns(records).features):
+        distinct = dict.fromkeys(values)
+        if not all(_is_float(v) for v in distinct):
+            columns[col] = {value: code for code, value in enumerate(distinct)}
     return EncodingTable(columns=columns, fitted_on=fitted_on)
 
 
-def encode(records: Sequence[RawRecord], table: EncodingTable) -> Dataset:
+def encode(records: Sequence[Record] | Columns, table: EncodingTable) -> Dataset:
     """Encode records to a numeric matrix (unnormalized) plus class labels."""
-    n = len(records)
-    rows = np.empty((n, N_FEATURES), dtype=np.float64)
-    for col in range(N_FEATURES):
-        raw = [r.features[col] for r in records]
+    columns = to_columns(records)
+    rows = np.empty((len(columns), N_FEATURES), dtype=np.float64)
+    for col, raw in enumerate(columns.features):
         mapping = table.columns.get(col)
         if mapping is not None:
             unseen = len(mapping)
@@ -231,11 +282,10 @@ def encode(records: Sequence[RawRecord], table: EncodingTable) -> Dataset:
     if not finite.all():
         record, col = (int(i) for i in np.argwhere(~finite)[0])
         raise DataError(
-            f"non-finite value {records[record].features[col]!r} in numeric column "
+            f"non-finite value {columns.features[col][record]!r} in numeric column "
             f"{col} ({FEATURE_NAMES[col]}), record {record}"
         )
-    labels = np.fromiter((map_label(r.label) for r in records), dtype=np.int64, count=n)
-    return Dataset(rows, labels)
+    return Dataset(rows, class_labels(columns.labels))
 
 
 def fit_normalize(dataset: Dataset) -> NormStats:
@@ -337,6 +387,21 @@ def encoding_to_text(table: EncodingTable) -> str:
                 raise DataError(f"cannot serialize categorical value {value!r}")
             lines.append(f"column.{col}.code.{value}={code}")
     return "\n".join(lines) + "\n"
+
+
+def encoded_to_text(dataset: Dataset) -> str:
+    """One CSV line per row: every value's float repr, then the label index.
+
+    Formatted column by column; each distinct value of a column (by bit
+    pattern, so -0.0 and 0.0 stay apart) goes through ``repr`` once.
+    """
+    columns = []
+    for values in dataset.rows.T:
+        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        columns.append(texts[inverse].tolist())
+    columns.append([str(label) for label in dataset.labels.tolist()])
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def norm_stats_to_text(stats: NormStats) -> str:

@@ -28,14 +28,16 @@ from .confusion import (
 )
 from .dataset import (
     CLASS_NAMES,
-    RawRecord,
+    Columns,
+    Record,
     apply_normalize,
     check_labels,
+    class_labels,
     encode,
     fit_encoding,
     fit_normalize,
-    map_label,
     stratified_fold_indices,
+    to_columns,
 )
 from .errors import ConfigError, DataError
 from .optimizer import GoaConfig, mask_to_bitstring, run
@@ -190,7 +192,7 @@ AuditHook = Callable[[str, int, np.ndarray], None]
 
 def _run_fold(
     fold: int,
-    records: Sequence[RawRecord],
+    columns: Columns,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     goa_config: GoaConfig,
@@ -201,18 +203,17 @@ def _run_fold(
 ) -> FoldReport:
     started = time.perf_counter()
     fold_seed = derive_seed(seed, "fold", fold)
-    train_records = [records[int(i)] for i in train_idx]
-    test_records = [records[int(i)] for i in test_idx]
-
-    encoding = fit_encoding(train_records, fitted_on=f"fold{fold}-train")
+    train_rows = columns.take(train_idx)
+    encoding = fit_encoding(train_rows, fitted_on=f"fold{fold}-train")
     if audit is not None:
         audit("encoding_fit", fold, train_idx)
-    train_raw = encode(train_records, encoding)
+    train_raw = encode(train_rows, encoding)
     stats = fit_normalize(train_raw)
     if audit is not None:
         audit("normalize_fit", fold, train_idx)
     train_ds = apply_normalize(train_raw, stats)
-    test_ds = apply_normalize(encode(test_records, encoding), stats)
+    test_ds = apply_normalize(encode(columns.take(test_idx), encoding), stats)
+    del train_rows, train_raw  # free them before the search, the fold's longest part
 
     objective = WrapperObjective(
         train_ds,
@@ -250,7 +251,7 @@ def _run_fold(
 
 
 def cross_validate(
-    records: Sequence[RawRecord],
+    records: Sequence[Record],
     k: int,
     goa_config: GoaConfig,
     svm_config: SvmConfig,
@@ -271,13 +272,13 @@ def cross_validate(
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    labels = np.fromiter((map_label(r.label) for r in records), dtype=np.int64, count=len(records))
-    folds = stratified_fold_indices(labels, k, derive_seed(seed, "folds"))
+    columns = to_columns(records)  # split once; each fold takes its rows from it
+    folds = stratified_fold_indices(class_labels(columns.labels), k, derive_seed(seed, "folds"))
 
     def job(args):
         fold, (train_idx, test_idx) = args
         return _run_fold(
-            fold, records, train_idx, test_idx,
+            fold, columns, train_idx, test_idx,
             goa_config, svm_config, seed, fitness_epochs, audit,
         )
 

@@ -51,6 +51,9 @@ class GoaConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.s_l > 0:
             raise ConfigError(f"s_l must be positive, got {self.s_l}")
+        # social_step scales by c twice; the GOA paper's c_max is 1.
+        if not self.c_max <= 1.0:
+            raise ConfigError(f"c_max must be at most 1, got {self.c_max}")
         if not self.c_min < self.c_max:
             raise ConfigError("c_min must be strictly below c_max")
         for name in ("swap_prob", "reversion_prob"):

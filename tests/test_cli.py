@@ -45,7 +45,7 @@ NONSENSE = [
     ("fitness_epochs", "0"), ("epochs", "0"), ("svm_c", "0"), ("svm_c", "nan"),
     ("svm_c", "inf"), ("delta_stop", "nan"), ("delta_stop", "-1"),
     ("c_max", "inf"), ("c_min", "-inf"), ("s_f", "nan"), ("s_l", "nan"), ("s_l", "0"),
-    ("s_l", "-1"), ("step_offset", "inf"),
+    ("s_l", "-1"), ("step_offset", "inf"), ("c_max", "1e200"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Parsing, encoding, label mapping, normalization, and stratified splits."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from swarmids.dataset import (
     parse_kdd,
     stratified_fold_indices,
     stratified_sample_indices,
+    to_columns,
 )
 from swarmids.errors import DataError, DataWarning, ParseError, UnknownLabelError
 
@@ -36,17 +38,27 @@ def _line(features=None, label="normal", difficulty=None):
     return ",".join(fields)
 
 
+def _fields(record):
+    """A parsed record's canonical line read back as features, label and
+    difficulty."""
+    fields = record.line.split(",")
+    difficulty = int(fields[N_FEATURES + 1]) if len(fields) > N_FEATURES + 1 else None
+    return SimpleNamespace(
+        features=tuple(fields[:N_FEATURES]), label=fields[N_FEATURES], difficulty=difficulty
+    )
+
+
 class TestParse:
     def test_43_field_line_keeps_difficulty(self):
         features = ["0", "tcp", "http", "SF"] + ["1"] * 37
-        records = parse_kdd(_line(features, "neptune", 21))
+        records = [_fields(r) for r in parse_kdd(_line(features, "neptune", 21))]
         assert len(records) == 1
         assert records[0].label == "neptune"
         assert records[0].difficulty == 21
         assert records[0].features == tuple(features)
 
     def test_42_field_line_has_no_difficulty(self):
-        records = parse_kdd(_line(label="smurf"))
+        records = [_fields(r) for r in parse_kdd(_line(label="smurf"))]
         assert records[0].difficulty is None
         assert records[0].label == "smurf"
 
@@ -158,6 +170,12 @@ class TestEncoding:
                 col, _, name = key[len("column."):].partition(".code.")
                 codes.setdefault(int(col), {})[name] = int(value)
         assert codes == {c: dict(m) for c, m in table.columns.items()}
+
+    def test_taken_columns_match_a_split_of_the_same_rows(self, synth_records):
+        idx = np.array([5, 0, 17, 17, 3])
+        taken = to_columns(synth_records).take(idx)
+        assert taken == to_columns([synth_records[i] for i in idx])
+        assert len(taken) == 5
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_rejected(self, value):

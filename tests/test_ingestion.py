@@ -1,0 +1,199 @@
+"""Ingestion end to end: ``prepare`` bytes on an awkward corpus, and the
+order and text of ingestion errors.
+
+The digests were taken from ``prepare`` at commit 359293e, before
+ingestion became columnar, so any byte drift in parsing, encoding or the
+artifact writers fails here.
+"""
+
+import hashlib
+import warnings
+
+import numpy as np
+import pytest
+
+from swarmids.cli import main
+from swarmids.dataset import (
+    CLASS_NAMES,
+    N_FEATURES,
+    Dataset,
+    encode,
+    encoded_to_text,
+    fit_encoding,
+    parse_kdd,
+)
+from swarmids.errors import DataError, DataWarning, ParseError
+
+LABELS = ("normal", "NORMAL", "Neptune", "smurf", "SMURF", "satan", "IpSweep",
+          "guess_passwd", "Normal", "neptune")
+PADS = ("", " ", "\t", "\xa0", " \xa0", "\t ")
+NUMERIC = ("0", "1", "0.5", "1e3", "021", "+4", "0.10")
+
+
+def _pad(value: str, i: int, j: int) -> str:
+    return PADS[(i * j) % len(PADS)] + value + PADS[(i + 2 * j) % len(PADS)]
+
+
+def awkward_corpus(n: int = 48) -> bytes:
+    """NSL-KDD lines with every quirk the parser accepts: 42 and 43 fields,
+    difficulties such as ``021`` and ``+5``, upper-case labels, fields padded
+    with spaces, tabs and no-break spaces, comment and blank lines, and
+    mixed CRLF/LF endings. ``duration`` holds both ``0`` and ``-0``."""
+    lines = ["# awkward corpus", ""]
+    for i in range(n):
+        features = [
+            "-0" if i % 5 == 0 else str((i * 37) % 11 * 5),
+            ("tcp", "udp", "icmp", "TCP")[i % 4],
+            ("http", "smtp", "private", "ecr_i", "Other")[(i * 3) % 5],
+            ("SF", "S0", "REJ")[i % 3],
+            str((i * i) % 97 * 13),
+            f"{(i % 7) * 0.25:.2f}",
+        ]
+        features += [NUMERIC[(i + j) % len(NUMERIC)] for j in range(6, N_FEATURES)]
+        features[9] = "x" if i == 17 else features[9]  # one word makes "hot" categorical
+        features[19] = "0"  # num_outbound_cmds is constant, as in NSL-KDD
+        fields = [_pad(v, i, j) for j, v in enumerate(features)]
+        fields.append(_pad(LABELS[i % len(LABELS)], i, 41))
+        if i % 3 == 1:
+            fields.append(("021", "+5", " 7")[i % 9 // 3])
+        elif i % 3 == 2:
+            fields.append(str(i % 22))
+        lines.append(",".join(fields))
+        if i % 10 == 9:
+            lines.append("   # indented comment")
+        if i % 7 == 6:
+            lines.append(" \t " if i % 2 else "")
+    return "".join(line + ("\r\n" if k % 2 == 0 else "\n") for k, line in enumerate(lines)).encode("utf-8")
+
+
+# sha256 of each prepare_* file, by --subsample value.
+PINNED = {
+    "0": {
+        "prepare_class_histogram.csv": "385ec756869f9a9a55339f6969bb630c84a0760e26370c3ed8e6a1d255ff44d8",
+        "prepare_config.txt": "d4cb99f2bfbb87db2b0376a6cad78496ebfc9c8fd4e2a61ae876223da16474c9",
+        "prepare_data.csv": "c3e5306b8940b99a2ff43b04d4e3cc2725066164305cca1567912d47a667b134",
+        "prepare_encoded.csv": "7597286ef3fc5ec63fb8333c9d765b310945f8e0336934b707b10b58d49d925a",
+        "prepare_encoding.txt": "525ff798630be9c2d99b3fc6cffd081e9e975393656b963e063576e79278d2ab",
+        "prepare_norm_stats.txt": "d014959dd6882ceeeb313b2be0eabcc50eae46da8e4e2db3cb0f08f5a1acab0f",
+    },
+    "20": {
+        "prepare_class_histogram.csv": "214eed76137dd4f2dc7857a3b7f9d616f5ffb493914aed9f92c3f45dd6f174e3",
+        "prepare_config.txt": "39ffecc4a01a248331dd48e3bfc5607a0ade5781bcf1a78fc4b37df5d9c9693b",
+        "prepare_data.csv": "09623b956646a8bc8791769a241daa219ca94b3fc330fe8686f2faca77a7eaaa",
+        "prepare_encoded.csv": "ce5cc45ecb569ea637ceeee6c8c0bb7bd9b32efd8b15143e10d318f3ffc61c9e",
+        "prepare_encoding.txt": "b0efeb46d41e289b4a37e0471240ce2c6d8a7b6c7f9cc203e6b340d9a8124c99",
+        "prepare_norm_stats.txt": "df0fe8440b4513d01ed92d80c6ce34f22995a5c05bcaa340bf6798934c910805",
+    },
+}
+
+
+def _reference_line(text: str) -> str:
+    """The canonical line as the row-wise parser built it: split every
+    field, strip it, lower-case the attack name, rewrite the difficulty."""
+    fields = [f.strip() for f in text.strip().split(",")]
+    fields[N_FEATURES] = fields[N_FEATURES].lower()
+    if len(fields) == N_FEATURES + 2:
+        fields[-1] = str(int(fields[-1]))
+    return ",".join(fields)
+
+
+def test_canonical_lines_match_the_row_wise_parse():
+    text = awkward_corpus().decode("utf-8")
+    data = [line for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+    records = parse_kdd(text)
+    assert [r.line for r in records] == [_reference_line(line) for line in data]
+    assert [r.label for r in records] == [r.line.split(",")[N_FEATURES] for r in records]
+    assert any(line != line.strip() or "\xa0" in line for line in data)
+
+
+def _prepare(tmp_path, monkeypatch, corpus: bytes, *extra) -> int:
+    (tmp_path / "corpus.csv").write_bytes(corpus)
+    monkeypatch.chdir(tmp_path)  # relative paths, so the config bytes are fixed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        return main(["prepare", "--data", "corpus.csv", "--out", "out", "--seed", "3", *extra])
+
+
+@pytest.mark.parametrize("subsample", sorted(PINNED))
+def test_prepare_bytes_pinned(tmp_path, monkeypatch, subsample):
+    assert _prepare(tmp_path, monkeypatch, awkward_corpus(), "--subsample", subsample) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "out").glob("prepare_*"))
+    }
+    assert digests == PINNED[subsample]
+
+
+def _line(label="normal", features=None, difficulty="21"):
+    fields = list(features or ["0"] * N_FEATURES) + [label]
+    return ",".join(fields + ([difficulty] if difficulty is not None else []))
+
+
+class TestErrorOrder:
+    def test_field_count_error_wins_over_earlier_unknown_label(self, tmp_path, monkeypatch, capsys):
+        # Every line is checked before any attack name is mapped.
+        lines = [_line(), _line(), _line("sneaky_new_attack"), _line(), "", _line(),
+                 ",".join(["0"] * 40)]
+        with pytest.raises(ParseError) as err:
+            parse_kdd("\n".join(lines))
+        assert err.value.line_no == 7
+        corpus = "\n".join(lines).encode("utf-8")
+        assert _prepare(tmp_path, monkeypatch, corpus, "--subsample", "0") == 2
+        assert "data error: line 7: expected 42 or 43 fields, got 40" in capsys.readouterr().err
+
+    def test_unknown_label_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        corpus = "\n".join([_line(), _line("sneaky_new_attack"), _line()]).encode("utf-8")
+        assert _prepare(tmp_path, monkeypatch, corpus, "--subsample", "0") == 2
+        assert "unknown attack label: 'sneaky_new_attack'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("difficulty", ["x1", " x1", "2.5"])
+    def test_bad_difficulty_names_its_line(self, difficulty):
+        text = "\n".join(["# header", _line(), _line(difficulty=difficulty), _line()])
+        with pytest.raises(ParseError) as err:
+            parse_kdd(text)
+        assert err.value.line_no == 3
+        assert str(err.value) == f"line 3: difficulty field is not an integer: {difficulty!r}"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "non-numeric value 'abc' in numeric column 4 (src_bytes), record 2"),
+            ("\tinf ", "non-finite value 'inf' in numeric column 4 (src_bytes), record 2"),
+            ("nan", "non-finite value 'nan' in numeric column 4 (src_bytes), record 2"),
+        ],
+    )
+    def test_numeric_error_names_column_and_encoded_record(self, value, message):
+        records = parse_kdd("\n".join(_line() for _ in range(8)))
+        table = fit_encoding(records)
+        bad = ["0"] * N_FEATURES
+        bad[4] = value
+        records += parse_kdd(_line(features=bad))
+        # Record 8 of the parse is record 2 of the rows being encoded.
+        with pytest.raises(DataError) as err:
+            encode(records[6:], table)
+        assert str(err.value) == message
+
+    def test_rows_dropped_by_subsample_are_not_checked(self, tmp_path, monkeypatch, capsys):
+        # 10 of 90 Normal, 9 DoS and 1 R2L rows: the largest-remainder split
+        # gives the R2L row no place, so its non-finite value is never encoded.
+        bad = ["0"] * N_FEATURES
+        bad[4] = "nan"
+        lines = [_line()] * 90 + [_line("neptune")] * 9 + [_line("guess_passwd", bad)]
+        corpus = "\n".join(lines).encode("utf-8")
+        assert _prepare(tmp_path, monkeypatch, corpus, "--subsample", "10") == 0
+        assert "nan" not in (tmp_path / "out" / "prepare_data.csv").read_text()
+        assert _prepare(tmp_path, monkeypatch, corpus, "--subsample", "0") == 2
+        assert "non-finite value 'nan' in numeric column 4 (src_bytes), record 99" in capsys.readouterr().err
+
+
+def test_encoded_text_is_the_row_wise_repr():
+    rng = np.random.default_rng(0)
+    rows = rng.choice([0.0, -0.0, 0.1, 1 / 3, 1.0, 5e-324, 0.30000000000000004], size=(60, 5))
+    dataset = Dataset(rows, rng.integers(0, len(CLASS_NAMES), size=60))
+    expected = "".join(
+        ",".join(repr(float(v)) for v in row) + f",{label}\n"
+        for row, label in zip(dataset.rows, dataset.labels)
+    )
+    text = encoded_to_text(dataset)
+    assert text == expected
+    assert "-0.0," in text and ",0.0," in text

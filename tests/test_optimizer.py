@@ -393,6 +393,12 @@ class TestRun:
         with pytest.raises(ConfigError, match="population_size"):
             replace(GoaConfig(), population_size=1)
 
+    @pytest.mark.parametrize("c_max", [1.0 + 1e-9, 2.0, 1e200])
+    def test_c_max_above_one_rejected(self, c_max):
+        with pytest.raises(ConfigError, match="c_max must be at most 1"):
+            GoaConfig(c_max=c_max)
+        assert GoaConfig(c_max=1.0, c_min=0.5).c_max == 1.0
+
 
 def test_history_csv_format():
     config = GoaConfig(population_size=4, dim=6, max_iterations=3,
