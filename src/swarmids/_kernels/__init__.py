@@ -4,7 +4,9 @@ Each backend exports ``hinge_epoch`` (one plane) and ``hinge_epoch_batch``
 (several planes over the same rows, one call per epoch). The compiled C
 extension (``_hinge_sgd.c``, backend ``compiled``) is used when it is
 built; otherwise the pure-Python twin (backend ``python``), which has
-identical numerics.
+identical numerics. The compiled loops run without the GIL, so threads
+calling them train at once; the twin, a Python loop of small numpy
+calls, holds it.
 """
 
 try:

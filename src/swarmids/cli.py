@@ -42,7 +42,7 @@ from .dataset import (
     to_columns,
 )
 from .errors import ConfigError, DataError, SwarmidsError
-from .evaluation import METRIC_NAMES, cross_validate, report_to_json
+from .evaluation import METRIC_NAMES, cross_validate, fold_workers, report_to_json
 from .optimizer import GoaConfig, history_csv, mask_to_bitstring, run
 from .seeds import derive_seed
 from .selection import WrapperObjective
@@ -72,7 +72,7 @@ class RunConfig:
     epochs: int = 20
     step_offset: float = 0.0        # 0 = auto (ceil(C*N))
     fitness_epochs: int = 5
-    threads: int = 0                # 0 = number of processors
+    threads: int = 0                # evaluate's fold threads (compiled kernel only); 0 = nproc
     plots: bool = True
 
     def __post_init__(self):
@@ -312,6 +312,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     stage_seed = derive_seed(config.seed, "evaluate")
 
     records = _read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING)
+    threads = _threads(config)
     started = time.perf_counter()
     report = cross_validate(
         records,
@@ -320,7 +321,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         svm_config=config.svm_config(seed=0),
         seed=stage_seed,
         fitness_epochs=config.fitness_epochs,
-        threads=_threads(config),
+        threads=threads,
     )
     elapsed = time.perf_counter() - started
 
@@ -334,7 +335,8 @@ def cmd_evaluate(config: RunConfig) -> int:
                 "total_seconds": elapsed,
                 "fold_seconds": [f.seconds for f in report.folds],
                 "kernel_backend": BACKEND,
-                "threads": _threads(config),
+                "threads": threads,
+                "fold_workers": fold_workers(threads, report.k),
             },
             indent=2,
             sort_keys=True,
@@ -447,7 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         config = _merge_config(args)
         if BACKEND == "python" and args.command != "prepare":
             print(
-                "note: SGD kernel backend 'python' (the pure-Python twin, much slower); "
+                "note: SGD kernel backend 'python' (the pure-Python twin, much slower; "
+                "it holds the GIL, so evaluate's folds run one at a time); "
                 'build the compiled kernel as README "Install" says',
                 file=sys.stderr,
             )

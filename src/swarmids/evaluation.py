@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._kernels import BACKEND
 from .classifier import SvmConfig, predict, train_ova
 from .confusion import (
     ConfusionCounts,
@@ -250,6 +251,15 @@ def _run_fold(
     )
 
 
+def fold_workers(threads: int, k: int) -> int:
+    """Threads that ``cross_validate`` runs ``k`` folds on: ``min(threads, k)``
+    on the compiled kernel, which releases the GIL, else 1, since fold
+    threads that hold it only take turns."""
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    return min(threads, k) if BACKEND == "compiled" else 1
+
+
 def cross_validate(
     records: Sequence[Record],
     k: int,
@@ -266,12 +276,11 @@ def cross_validate(
     only; feature selection runs on the training rows (with its internal
     fit/validation split); the final model trains with full epochs on all
     training rows under the selected mask; the held-out fold is scored.
-    Folds run on a pool of ``threads`` threads and use disjoint derived
-    seeds, so results do not depend on the thread count. ``audit``
-    receives (stage, fold, absolute row indices).
+    Folds run on ``fold_workers(threads, k)`` threads and use disjoint
+    derived seeds, so results do not depend on the thread count. ``audit``
+    receives (stage, fold, absolute row indices) on the fold's thread.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
+    workers = fold_workers(threads, k)
     columns = to_columns(records)  # split once; each fold takes its rows from it
     folds = stratified_fold_indices(class_labels(columns.labels), k, derive_seed(seed, "folds"))
 
@@ -282,7 +291,7 @@ def cross_validate(
             goa_config, svm_config, seed, fitness_epochs, audit,
         )
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         fold_reports = list(pool.map(job, enumerate(folds)))
 
     macro_values = {

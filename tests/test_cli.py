@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import swarmids
-from swarmids import classifier
+from swarmids import classifier, evaluation
 from swarmids._kernels import _hinge_sgd_py
 from swarmids.cli import RunConfig, config_digest, config_from_text, config_to_text, main
 from swarmids.errors import ConfigError, DataWarning
@@ -233,11 +233,14 @@ class TestEvaluateAndPipeline:
             pytest.skip("compiled backend not built")
         out = tmp_path / "run"
         artifacts = []
-        for kernel in (_hinge_sgd_py, build[0]):
+        for kernel, backend, workers in ((_hinge_sgd_py, "python", 1), (build[0], "compiled", 2)):
             monkeypatch.setattr(classifier, "hinge_epoch", kernel.hinge_epoch)
             monkeypatch.setattr(classifier, "hinge_epoch_batch", kernel.hinge_epoch_batch)
+            monkeypatch.setattr(evaluation, "BACKEND", backend)
             shutil.rmtree(out, ignore_errors=True)
             assert run_cli(["pipeline", *_args(synth_file, out, "--threads", "2")]) == 0
+            timing = json.loads((out / "evaluate_timing.json").read_text())
+            assert (timing["threads"], timing["fold_workers"]) == (2, workers)
             artifacts.append({path.name: path.read_bytes() for path in out.iterdir()
                               if path.name != "evaluate_timing.json"})
         assert len(artifacts[0]) == 19
@@ -335,6 +338,7 @@ class TestBackendNotice:
         if shown:
             assert len(notes) == 1
             assert "'python'" in notes[0] and 'README "Install"' in notes[0]
+            assert "folds run one at a time" in notes[0]
         else:
             assert notes == []
 

@@ -2,6 +2,7 @@
 cross-validation orchestrator (including the leakage audit)."""
 
 import json
+import threading
 import warnings
 from collections import defaultdict
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmids import classifier, evaluation
+from swarmids._kernels import _hinge_sgd_py
 from swarmids.classifier import SvmConfig
 from swarmids.dataset import CLASS_NAMES
 from swarmids.errors import ConfigError, DataError, DataWarning
@@ -20,6 +23,7 @@ from swarmids.evaluation import (
     confusion_per_class,
     cross_validate,
     fnr,
+    fold_workers,
     fpr,
     macro_report,
     report_to_json,
@@ -205,7 +209,10 @@ class TestCrossValidate:
             )
         assert report_to_json(again) == report_to_json(cv_report)
 
-    def test_threads_do_not_change_results(self, synth_records, cv_report):
+    def test_threads_do_not_change_results(self, synth_records, cv_report, monkeypatch):
+        # Size the pool as for the compiled kernel, so three fold threads
+        # run on any machine; the twin is thread-safe.
+        monkeypatch.setattr(evaluation, "BACKEND", "compiled")
         goa, svm = _fast_configs()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
@@ -234,6 +241,60 @@ class TestCrossValidate:
         with pytest.raises(ConfigError):
             cross_validate(synth_records, k=3, goa_config=goa, svm_config=svm, seed=0,
                            threads=threads)
+
+
+class TestFoldThreads:
+    """Folds run one at a time on a one-thread pool while the kernel holds
+    the GIL, and on min(threads, k) pool threads when it releases it."""
+
+    @pytest.mark.parametrize("backend, threads, k, workers", [
+        ("compiled", 2, 4, 2), ("compiled", 8, 3, 3), ("compiled", 1, 4, 1),
+        ("python", 2, 4, 1), ("python", 8, 3, 1),
+    ])
+    def test_pool_width(self, monkeypatch, backend, threads, k, workers):
+        monkeypatch.setattr(evaluation, "BACKEND", backend)
+        assert fold_workers(threads, k) == workers
+
+    @staticmethod
+    def _use(monkeypatch, kernels, backend):
+        monkeypatch.setattr(classifier, "hinge_epoch", kernels.hinge_epoch)
+        monkeypatch.setattr(classifier, "hinge_epoch_batch", kernels.hinge_epoch_batch)
+        monkeypatch.setattr(evaluation, "BACKEND", backend)
+
+    @staticmethod
+    def _fold_threads(records, threads, barrier=None):
+        """The thread idents each fold's audit events ran on. With a
+        ``barrier``, the first ``barrier.parties`` folds wait for each other
+        after their encoding fit, so they must run at the same time."""
+        seen = defaultdict(set)
+
+        def audit(stage, fold, indices):
+            seen[fold].add(threading.get_ident())
+            if barrier is not None and stage == "encoding_fit" and fold < barrier.parties:
+                barrier.wait()
+
+        goa = GoaConfig(population_size=4, max_iterations=2, fitness_delta_stop=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataWarning)
+            cross_validate(records, k=3, goa_config=goa, svm_config=SvmConfig(epochs=2),
+                           seed=7, fitness_epochs=1, threads=threads, audit=audit)
+        return dict(seen)
+
+    def test_twin_folds_run_on_one_thread(self, synth_records, monkeypatch):
+        self._use(monkeypatch, _hinge_sgd_py, "python")
+        seen = self._fold_threads(synth_records, threads=3)
+        assert sorted(seen) == [0, 1, 2]
+        assert len(set().union(*seen.values())) == 1
+
+    def test_compiled_folds_run_on_two_pool_threads(self, build, synth_records, monkeypatch):
+        if build[0] is None:
+            pytest.skip("compiled backend not built")
+        self._use(monkeypatch, build[0], "compiled")
+        seen = self._fold_threads(synth_records, threads=2, barrier=threading.Barrier(2, timeout=30))
+        assert sorted(seen) == [0, 1, 2]
+        assert all(len(idents) == 1 for idents in seen.values())  # a fold stays on its thread
+        pool = set().union(*seen.values())
+        assert len(pool) == 2 and threading.get_ident() not in pool
 
 
 class TestLeakageAudit:

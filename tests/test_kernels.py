@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from swarmids import classifier
+from swarmids import classifier, evaluation
 from swarmids._kernels import _hinge_sgd_py, available_backends
 from swarmids.dataset import Dataset, parse_kdd
 from swarmids.errors import DataWarning
@@ -152,7 +152,8 @@ def test_compiled_rejects_bad_buffers(backends, bad):
 
 def test_compiled_kernel_on_fold_threads(backends, batch_backends, monkeypatch):
     # The compiled kernel releases the GIL, so evaluate's fold pool runs it
-    # concurrently; the report must not depend on backend or thread count.
+    # concurrently (the twin runs its folds one at a time); the report must
+    # not depend on backend or thread count.
     if "compiled" not in backends:
         pytest.skip("compiled backend not built")
     records = parse_kdd(make_kdd_csv(400, seed=7))
@@ -160,6 +161,7 @@ def test_compiled_kernel_on_fold_threads(backends, batch_backends, monkeypatch):
     for name in ("python", "compiled"):
         monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
         monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
+        monkeypatch.setattr(evaluation, "BACKEND", name)
         for threads in (1, 2):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DataWarning)
