@@ -7,7 +7,6 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <string.h>
 
 struct arg {
     const char *name;
@@ -105,50 +104,6 @@ sgd_steps(const double *x, Py_ssize_t cols, const double *y, const long long *or
     return b;
 }
 
-static const struct arg epoch_args[4] = {
-    {"x", 2, 'd', 0}, {"y", 1, 'd', 0}, {"order", 1, 'i', 0}, {"w", 1, 'd', 1},
-};
-
-static PyObject *
-run_epoch(Py_buffer *v, double b, double lam, double t0, long long t)
-{
-    const double *x = v[0].buf, *y = v[1].buf;
-    const long long *order = v[2].buf;
-    double *w = v[3].buf;
-    Py_ssize_t rows = v[0].shape[0], cols = v[0].shape[1];
-    Py_ssize_t n = v[2].shape[0], d = v[3].shape[0];
-
-    if (v[1].shape[0] != rows)
-        return PyErr_Format(PyExc_ValueError, "y has %zd entries but x has %zd rows", v[1].shape[0], rows);
-    if (d > cols)
-        return PyErr_Format(PyExc_ValueError, "w has %zd entries but rows of x have %zd", d, cols);
-    if (!order_in_range(order, n, rows))
-        return NULL;
-
-    Py_BEGIN_ALLOW_THREADS
-    b = sgd_steps(x, cols, y, order, n, w, d, b, lam, t0, t);
-    Py_END_ALLOW_THREADS
-    return Py_BuildValue("(dL)", b, t + (long long)n);
-}
-
-static PyObject *
-hinge_epoch(PyObject *self, PyObject *args)
-{
-    PyObject *objs[4], *result;
-    Py_buffer views[4];
-    double b, lam, t0;
-    long long t;
-
-    if (!PyArg_ParseTuple(args, "OOOOdddL:hinge_epoch", &objs[0], &objs[1], &objs[2],
-                          &objs[3], &b, &lam, &t0, &t))
-        return NULL;
-    if (get_buffers(objs, views, epoch_args, 4) < 0)
-        return NULL;
-    result = run_epoch(views, b, lam, t0, t);
-    release_buffers(views, 4);
-    return result;
-}
-
 static const struct arg batch_args[6] = {
     {"x", 2, 'd', 0}, {"y", 2, 'd', 0}, {"order", 2, 'i', 0},
     {"mask", 2, 'b', 0}, {"w", 2, 'd', 1}, {"b", 1, 'd', 1},
@@ -161,7 +116,7 @@ run_batch(Py_buffer *v, double lam, double t0, long long t)
     const long long *order = v[2].buf;
     const char *mask = v[3].buf;
     double *w = v[4].buf, *b = v[5].buf;
-    Py_ssize_t features = v[0].shape[0], rows = v[0].shape[1];
+    Py_ssize_t rows = v[0].shape[0], features = v[0].shape[1];
     Py_ssize_t planes = v[2].shape[0], n = v[2].shape[1];
 
     if (v[1].shape[0] != planes || v[1].shape[1] != rows)
@@ -177,8 +132,9 @@ run_batch(Py_buffer *v, double lam, double t0, long long t)
     if (!order_in_range(order, planes * n, rows))
         return NULL;
 
-    /* Each plane trains on a row-major copy of its selected columns, shared
-     * with the previous plane when both select the same features. */
+    /* A plane that selects every column trains on x itself, any other on a
+     * row-major copy of its selected columns, shared with the previous plane
+     * when both select the same ones. */
     Py_ssize_t *cols = PyMem_Malloc((features + 1) * sizeof *cols);
     double *wp = PyMem_Malloc((features + 1) * sizeof *wp);
     double *xp = PyMem_Malloc((rows * features + 1) * sizeof *xp);
@@ -189,7 +145,7 @@ run_batch(Py_buffer *v, double lam, double t0, long long t)
         return PyErr_NoMemory();
     }
     Py_BEGIN_ALLOW_THREADS
-    Py_ssize_t d_prev = -1;
+    Py_ssize_t d_prev = -1;  /* columns in the copy xp, while cols lists them; else -1 */
     for (Py_ssize_t p = 0; p < planes; p++) {
         Py_ssize_t d = 0;
         int same = 1;
@@ -199,15 +155,19 @@ run_batch(Py_buffer *v, double lam, double t0, long long t)
                 cols[d++] = k;
             }
         }
-        if (!same || d != d_prev) {
-            for (Py_ssize_t j = 0; j < d; j++)
-                for (Py_ssize_t i = 0; i < rows; i++)
-                    xp[i * d + j] = x[cols[j] * rows + i];
+        const double *xs = xp;
+        if (d == features) {
+            xs = x;
+            d_prev = -1;  /* cols now lists every column, not the copy's */
+        } else if (!same || d != d_prev) {
+            for (Py_ssize_t i = 0; i < rows; i++)
+                for (Py_ssize_t j = 0; j < d; j++)
+                    xp[i * d + j] = x[i * features + cols[j]];
             d_prev = d;
         }
         for (Py_ssize_t j = 0; j < d; j++)
             wp[j] = w[cols[j] * planes + p];
-        b[p] = sgd_steps(xp, d, y + p * rows, order + p * n, n, wp, d, b[p], lam, t0, t);
+        b[p] = sgd_steps(xs, d, y + p * rows, order + p * n, n, wp, d, b[p], lam, t0, t);
         for (Py_ssize_t j = 0; j < d; j++)
             w[cols[j] * planes + p] = wp[j];
     }
@@ -237,17 +197,13 @@ hinge_epoch_batch(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"hinge_epoch", hinge_epoch, METH_VARARGS,
-     "hinge_epoch(x, y, order, w, b, lam, t0, t) -> (b, t)\n\n"
-     "Run one epoch of SGD over rows in ``order``; updates ``w`` in place.\n\n"
-     "Returns the new bias and global step counter."},
     {"hinge_epoch_batch", hinge_epoch_batch, METH_VARARGS,
      "hinge_epoch_batch(x, y, order, mask, w, b, lam, t0, t) -> t\n\n"
      "Run one epoch of SGD for several planes; updates ``w`` and ``b`` in place.\n\n"
-     "``x`` is (features, rows); plane p visits rows ``order[p]`` with labels\n"
+     "``x`` is (rows, features); plane p visits rows ``order[p]`` with labels\n"
      "``y[p]`` and trains ``w[:, p]``, ``b[p]`` on the features where\n"
-     "``mask[:, p]`` is set, exactly as ``hinge_epoch`` on its projected\n"
-     "columns. Returns the new global step counter."},
+     "``mask[:, p]`` is set, from step ``t``; its other weights, which must\n"
+     "be zero, are left alone. Returns the new global step counter."},
     {NULL, NULL, 0, NULL},
 };
 

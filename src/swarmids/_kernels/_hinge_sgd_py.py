@@ -9,23 +9,13 @@ entries, before ``w`` changes.
 import numpy as np
 
 
-def hinge_epoch(x, y, order, w, b, lam, t0, t):
-    """Run one epoch of SGD over rows in ``order``; updates ``w`` in place.
-
-    Returns the new bias and global step counter.
-    """
-    n, cols = x.shape
-    if len(y) != n:
-        raise ValueError(f"y has {len(y)} entries but x has {n} rows")
-    if len(w) > cols:
-        raise ValueError(f"w has {len(w)} entries but rows of x have {cols}")
-    if len(order) and not (0 <= order.min() and order.max() < n):
-        raise IndexError(f"order has an entry outside [0, {n})")
-    rows = x.tolist()
-    ys = y.tolist()
-    ws = w.tolist()
+def _sgd_steps(rows, ys, order, ws, b, lam, t0, t):
+    """One plane's SGD steps over ``rows[i]`` for each ``i`` in ``order``
+    (lists), updating the list ``ws`` and returning the new bias; the step
+    counter runs from t + 1 to t + len(order). The twin of C's
+    ``sgd_steps``."""
     d = len(ws)
-    for i in order.tolist():
+    for i in order:
         t += 1
         eta = 1.0 / (lam * (t0 + t))
         xi = rows[i]
@@ -43,23 +33,24 @@ def hinge_epoch(x, y, order, w, b, lam, t0, t):
         else:
             for k in range(d):
                 ws[k] = factor * ws[k]
-    w[:] = ws
-    return b, t
+    return b
 
 
 def hinge_epoch_batch(x, y, order, mask, w, b, lam, t0, t):
     """Run one epoch of SGD for several planes at once; updates ``w`` and
     ``b`` in place and returns the new global step counter.
 
-    ``x`` is (features, rows). Plane p visits the rows in ``order[p]`` with
+    ``x`` is (rows, features). Plane p visits the rows in ``order[p]`` with
     labels ``y[p]`` and trains ``w[:, p]``, ``b[p]`` on the features where
-    ``mask[:, p]`` is set; its other weights stay +0.0. Each plane takes
-    the steps ``hinge_epoch`` takes on its projected columns from the same
-    ``t``, so results are bit-identical to it: the dot product is summed in
-    feature order (``np.add.accumulate``; ``np.dot`` and ``sum`` are not
-    sequential), and the unselected terms it adds are zeros.
+    ``mask[:, p]`` is set, from step ``t``; its other weights, which must
+    be zero, are left alone. When every plane selects every column, each
+    runs ``_sgd_steps`` in turn. Otherwise all planes take each step
+    together on a column-major copy of ``x``, with the same numbers: the
+    dot product is summed in feature order (``np.add.accumulate``;
+    ``np.dot`` and ``sum`` are not sequential), and the unselected terms it
+    adds are zeros.
     """
-    features, n = x.shape
+    n, features = x.shape
     planes, steps = order.shape
     if y.shape != (planes, n):
         raise ValueError(f"y has shape {y.shape} but order and x need ({planes}, {n})")
@@ -70,6 +61,16 @@ def hinge_epoch_batch(x, y, order, mask, w, b, lam, t0, t):
         )
     if order.size and not (0 <= order.min() and order.max() < n):
         raise IndexError(f"order has an entry outside [0, {n})")
+    if mask.all():
+        # The vectorized step pays off only beyond a few planes; one
+        # model's class planes run faster one at a time.
+        rows = x.tolist()
+        for p in range(planes):
+            ws = w[:, p].tolist()
+            b[p] = _sgd_steps(rows, y[p].tolist(), order[p].tolist(), ws, float(b[p]), lam, t0, t)
+            w[:, p] = ws
+        return t + steps
+    x = np.ascontiguousarray(x.T)
     labels = y.ravel()
     offsets = np.arange(planes, dtype=np.int64) * n
     at = np.empty(planes, dtype=np.int64)

@@ -6,8 +6,7 @@ epochs under a seed. The epoch-end iterate with the lowest objective is
 kept, which makes the final objective never worse than after epoch one.
 The per-sample inner loop runs in the compiled kernel when available.
 ``train_ova`` trains the planes of one or several feature masks through
-one epoch loop, which picks the per-plane or the batched kernel by the
-number of masks.
+one epoch loop, with one batched kernel call per epoch.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import hinge_epoch, hinge_epoch_batch
+from ._kernels import hinge_epoch, hinge_epoch_batch  # noqa: F401 - hinge_epoch: traced by name
 from .dataset import CLASS_NAMES, Dataset
 from .errors import ConfigError, TrainingError
 from .seeds import derive_seed
@@ -105,10 +104,9 @@ def _train_planes(
     ``rows`` that ``masks[plan[p]]`` selects, shuffled under ``seeds[p]``.
 
     All planes share the step counter; each draws its own permutation every
-    epoch and keeps its epoch-end iterate with the lowest objective. One
-    mask runs the per-plane ``hinge_epoch`` on the projected rows, several
-    run one ``hinge_epoch_batch`` call per epoch; both give the same
-    numbers, and the twin's batched step only pays off beyond a few planes.
+    epoch and keeps its epoch-end iterate with the lowest objective. The
+    kernel trains every plane in one ``hinge_epoch_batch`` call per epoch,
+    on the columns that some mask selects.
     """
     n = rows.shape[0]
     lam = 1.0 / (config.c * n)
@@ -117,30 +115,22 @@ def _train_planes(
     order = np.empty((len(rngs), n), dtype=np.int64)
     b = np.zeros(len(rngs))
     t = 0
-    single = len(masks) == 1
-    if single:
-        x = rows.compress(masks[0], axis=1)
-        w = np.zeros((len(rngs), x.shape[1]))
-    else:
-        x = np.ascontiguousarray(rows.T)
-        selected = np.stack([masks[j] for j in plan], axis=1)
-        w = np.zeros(selected.shape)
+    union = np.logical_or.reduce(masks)
+    x = rows.compress(union, axis=1)
+    selected = np.stack([masks[j][union] for j in plan], axis=1)
+    w = np.zeros(selected.shape)
     best: list[tuple[float, Hyperplane] | None] = [None] * len(rngs)
     for _ in range(config.epochs):
         for p, rng in enumerate(rngs):
             order[p] = rng.permutation(n)
-        if single:
-            for p in range(len(rngs)):
-                b[p], steps = hinge_epoch(x, y[p], order[p], w[p], b[p], lam, t0, t)
-            t = steps
-        else:
-            t = hinge_epoch_batch(x, y, order, selected, w, b, lam, t0, t)
-        # The objective sees the same row-major projection on both paths;
-        # one mask's projection is held at a time.
+        t = hinge_epoch_batch(x, y, order, selected, w, b, lam, t0, t)
+        # One mask's projection is held at a time; a mask that selects
+        # every column of x (as one mask always does) reads x itself.
         for j, mask in enumerate(masks):
-            projected = x if single else rows.compress(mask, axis=1)
+            columns = mask[union]
+            projected = x if columns.all() else x.compress(columns, axis=1)
             for p in (p for p, k in enumerate(plan) if k == j):
-                plane = Hyperplane(w[p] if single else w[mask, p], b[p])
+                plane = Hyperplane(w[columns, p], b[p])
                 objective = hinge_objective(projected, y[p], plane, config.c)
                 if best[p] is None or objective < best[p][0]:
                     best[p] = (objective, plane)

@@ -188,12 +188,27 @@ def _threads(config: RunConfig) -> int:
 _PREPARED_MISSING = "prepared artifact missing: {} (run prepare first)"
 
 
+def _not_utf8(path: Path) -> str:
+    """Where in ``path`` the first byte that is not UTF-8 sits."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8"
+    return f"{path}: not UTF-8"
+
+
 def _read_records(path: Path, missing: str):
-    """Parse ``path``, or raise ``DataError(missing.format(path))`` if it is absent."""
+    """Parse ``path``, or raise ``DataError(missing.format(path))`` if it is
+    absent and a ``DataError`` naming the line if it is not UTF-8."""
     if not path.exists():
         raise DataError(missing.format(path))
-    with path.open("r", encoding="utf-8") as stream:
-        return parse_kdd(stream)
+    try:
+        with path.open("r", encoding="utf-8") as stream:
+            return parse_kdd(stream)
+    except UnicodeDecodeError:
+        raise DataError(_not_utf8(path)) from None
 
 
 def cmd_prepare(config: RunConfig) -> int:
@@ -432,7 +447,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        values = _config_values(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(_not_utf8(path)) from None
+        values = _config_values(text)
     values.update(
         (name, getattr(args, name)) for name in _FLAG_FIELDS if getattr(args, name) is not None
     )

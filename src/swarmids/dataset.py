@@ -2,7 +2,8 @@
 min-max normalization, and stratified sampling/folding.
 
 A parsed record stays one canonical text line until a stage encodes it;
-encoding splits the rows it is given once into columns. String-valued
+the stage splits the rows it encodes once into columns (``to_columns``),
+which is what fitting and encoding take. String-valued
 columns are detected from the data and encoded with deterministic
 first-occurrence ordinal codes. The attack-name to category mapping
 ships as a versioned table under ``data/``.
@@ -86,10 +87,8 @@ class Columns:
         )
 
 
-def to_columns(records: Sequence[Record] | Columns) -> Columns:
+def to_columns(records: Sequence[Record]) -> Columns:
     """Split each record's line once into 41 feature columns."""
-    if isinstance(records, Columns):
-        return records
     # maxsplit keeps every row N_FEATURES + 1 wide: the features, then the tail.
     fields = list(chain.from_iterable(r.line.split(",", N_FEATURES) for r in records))
     features = tuple(fields[col::N_FEATURES + 1] for col in range(N_FEATURES))
@@ -245,24 +244,21 @@ def class_labels(names: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, names), dtype=np.int64, count=len(names))
 
 
-def fit_encoding(
-    records: Sequence[Record] | Columns, fitted_on: str = "unspecified"
-) -> EncodingTable:
+def fit_encoding(columns: Columns, fitted_on: str = "unspecified") -> EncodingTable:
     """Build first-occurrence ordinal code maps for string-valued columns."""
-    if not len(records):
+    if not len(columns):
         raise DataError("cannot fit an encoding on zero records")
     # Categorical columns are the ones holding at least one non-numeric value.
-    columns: dict[int, dict[str, int]] = {}
-    for col, values in enumerate(to_columns(records).features):
+    maps: dict[int, dict[str, int]] = {}
+    for col, values in enumerate(columns.features):
         distinct = dict.fromkeys(values)
         if not all(_is_float(v) for v in distinct):
-            columns[col] = {value: code for code, value in enumerate(distinct)}
-    return EncodingTable(columns=columns, fitted_on=fitted_on)
+            maps[col] = {value: code for code, value in enumerate(distinct)}
+    return EncodingTable(columns=maps, fitted_on=fitted_on)
 
 
-def encode(records: Sequence[Record] | Columns, table: EncodingTable) -> Dataset:
-    """Encode records to a numeric matrix (unnormalized) plus class labels."""
-    columns = to_columns(records)
+def encode(columns: Columns, table: EncodingTable) -> Dataset:
+    """Encode split records to a numeric matrix (unnormalized) plus class labels."""
     rows = np.empty((len(columns), N_FEATURES), dtype=np.float64)
     for col, raw in enumerate(columns.features):
         mapping = table.columns.get(col)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from swarmids.dataset import apply_normalize, encode, fit_encoding, fit_normalize, parse_kdd
+from swarmids.dataset import (
+    apply_normalize, encode, fit_encoding, fit_normalize, parse_kdd, to_columns,
+)
 
 from _synth import make_kdd_csv
 
@@ -34,13 +36,16 @@ MISSING_TOOLCHAIN = _missing_toolchain()
 def build(tmp_path_factory):
     """Run ``setup.py build_ext`` into a temp dir and load the result by path.
 
-    Returns ``(module or None, build output)``; a failed build is reported
-    by ``test_kernels.py::test_compiled_backend_built``.
+    The build adds ``-Wall -Werror``, so a compiler warning (an unused
+    function or variable) fails it. Returns ``(module or None, build
+    output)``; a failed build is reported by
+    ``test_kernels.py::test_compiled_backend_built``.
     """
     if MISSING_TOOLCHAIN:
         return None, MISSING_TOOLCHAIN
     tmp = tmp_path_factory.mktemp("build_ext")
     env = {k: v for k, v in os.environ.items() if k != "SWARMIDS_SKIP_EXT"}
+    env["CFLAGS"] = f"{env.get('CFLAGS', '')} -Wall -Werror".strip()
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
@@ -92,8 +97,8 @@ def synth_records(synth_csv):
 
 @pytest.fixture(scope="session")
 def synth_dataset(synth_records):
-    encoding = fit_encoding(synth_records, fitted_on="test-synth")
-    raw = encode(synth_records, encoding)
+    columns = to_columns(synth_records)
+    raw = encode(columns, fit_encoding(columns, fitted_on="test-synth"))
     return apply_normalize(raw, fit_normalize(raw))
 
 

@@ -226,8 +226,9 @@ def _signed_dataset(seed=0, features=6, absent=()):
 
 
 class TestTrainOvaMany:
-    """``train_ova`` over several masks (one batched kernel call per epoch)
-    against the same masks one at a time (the per-plane kernel)."""
+    """``train_ova`` over several masks (partial masks over the projected
+    columns) against the same masks one at a time (every plane selects
+    every projected column)."""
 
     @pytest.mark.parametrize("absent", [(), (3,)], ids=["all-classes", "class-absent"])
     @pytest.mark.parametrize("step_offset", [None, 0.0, 7.0])

@@ -234,7 +234,6 @@ class TestEvaluateAndPipeline:
         out = tmp_path / "run"
         artifacts = []
         for kernel, backend, workers in ((_hinge_sgd_py, "python", 1), (build[0], "compiled", 2)):
-            monkeypatch.setattr(classifier, "hinge_epoch", kernel.hinge_epoch)
             monkeypatch.setattr(classifier, "hinge_epoch_batch", kernel.hinge_epoch_batch)
             monkeypatch.setattr(evaluation, "BACKEND", backend)
             shutil.rmtree(out, ignore_errors=True)
@@ -314,6 +313,31 @@ class TestExitCodes:
         assert run_cli(["select", "--config", str(cfg)]) == 1
         assert not (out / "select_mask.txt").exists()
         assert not (out / "evaluate_report.json").exists()
+
+    def test_non_utf8_data_exits_2(self, synth_file, tmp_path, run_cli, capsys):
+        # Byte 0xE9, "é" in Latin-1, in a comment on line 4 of the dataset.
+        lines = synth_file.read_bytes().splitlines(keepends=True)
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"".join(lines[:3]) + b"# caf\xe9\n" + b"".join(lines[3:]))
+        assert run_cli(["prepare", *_args(data, tmp_path / "run")]) == 2
+        assert f"data error: {data}: line 4: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["select", "evaluate"])
+    def test_non_utf8_prepared_data_exits_2(self, synth_file, tmp_path, run_cli, capsys, stage):
+        out = tmp_path / "run"
+        assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        prepared = out / "prepare_data.csv"
+        first, rest = prepared.read_bytes().split(b"\n", 1)
+        prepared.write_bytes(first + b"\n# caf\xe9\n" + rest)
+        capsys.readouterr()
+        assert run_cli([stage, *_args(synth_file, out)]) == 2
+        assert f"data error: {prepared}: line 2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, run_cli, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+        assert run_cli(["prepare", "--config", str(cfg)]) == 1
+        assert f"error: {cfg}: line 2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
     def test_module_run_exits_with_main_code(self, tmp_path):
         # ``python -m swarmids.cli`` runs the same entry point as ``swarmids``.

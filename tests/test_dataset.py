@@ -103,64 +103,66 @@ class TestLabels:
             Dataset(np.zeros((20, 3)), labels)
 
 
-def _records_with_column(values, column=1):
+def _columns_with(values, column=1):
+    """Split records whose ``column`` holds ``values``, one per record."""
     records = []
     for v in values:
         features = ["0"] * N_FEATURES
         features[column] = v
         records.append(parse_kdd(_line(features))[0])
-    return records
+    return to_columns(records)
 
 
 class TestEncoding:
     def test_first_occurrence_codes(self):
-        table = fit_encoding(_records_with_column(["tcp", "udp", "tcp"]))
+        table = fit_encoding(_columns_with(["tcp", "udp", "tcp"]))
         assert table.columns[1] == {"tcp": 0, "udp": 1}
 
     def test_single_value_column(self):
-        table = fit_encoding(_records_with_column(["icmp"]))
+        table = fit_encoding(_columns_with(["icmp"]))
         assert table.columns[1] == {"icmp": 0}
 
     def test_numeric_columns_not_encoded(self):
-        table = fit_encoding(_records_with_column(["1.5", "2", "3e4"]))
+        table = fit_encoding(_columns_with(["1.5", "2", "3e4"]))
         assert 1 not in table.columns
 
     def test_empty_records_rejected(self):
         with pytest.raises(DataError):
-            fit_encoding([])
+            fit_encoding(to_columns([]))
 
     def test_encode_lookup_and_numeric_passthrough(self):
-        records = _records_with_column(["tcp", "udp"])
-        table = fit_encoding(records)
-        ds = encode(records, table)
+        columns = _columns_with(["tcp", "udp"])
+        table = fit_encoding(columns)
+        ds = encode(columns, table)
         assert ds.rows[0, 1] == 0.0 and ds.rows[1, 1] == 1.0
         features = ["491"] + ["x"] + ["0"] * 39
-        rec = parse_kdd(_line(features))[0]
-        ds2 = encode([rec], fit_encoding([rec]))
+        one = to_columns(parse_kdd(_line(features)))
+        ds2 = encode(one, fit_encoding(one))
         assert ds2.rows[0, 0] == 491.0
 
     def test_unseen_value_gets_reserved_code(self):
-        train = _records_with_column(["tcp", "udp"])
+        train = _columns_with(["tcp", "udp"])
         table = fit_encoding(train)
-        unseen = _records_with_column(["sctp"])
+        unseen = _columns_with(["sctp"])
         ds = encode(unseen, table)
         assert ds.rows[0, 1] == 2.0  # == len(table.columns[1])
 
     def test_encoding_stable(self, synth_records):
-        table = fit_encoding(synth_records)
-        a = encode(synth_records, table)
-        b = encode(synth_records, table)
+        columns = to_columns(synth_records)
+        table = fit_encoding(columns)
+        a = encode(columns, table)
+        b = encode(columns, table)
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.labels, b.labels)
 
     def test_round_trip_decode(self, synth_records):
         # Codes are 0..n-1 without repeats, so every code names one value.
-        table = fit_encoding(synth_records)
+        table = fit_encoding(to_columns(synth_records))
         for mapping in table.columns.values():
             assert sorted(mapping.values()) == list(range(len(mapping)))
 
     def test_artifact_round_trip(self, synth_records):
-        table = fit_encoding(synth_records, fitted_on="test")
+        table = fit_encoding(to_columns(synth_records), fitted_on="test")
         lines = encoding_to_text(table).splitlines()
         assert lines[0] == "fitted_on=test"
         codes = {}
@@ -180,8 +182,9 @@ class TestEncoding:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_rejected(self, value):
         records = parse_kdd("\n".join([_line(), _line([value] + ["0"] * (N_FEATURES - 1))]))
+        columns = to_columns(records)
         with pytest.raises(DataError, match=rf"'{value}'.*column 0 \(duration\), record 1"):
-            encode(records, fit_encoding(records))
+            encode(columns, fit_encoding(columns))
 
 
 class TestNormalize:
@@ -327,7 +330,7 @@ class TestRealNslKdd:
             map_label(record.label)
 
     def test_protocol_column_has_three_codes(self, real_records):
-        table = fit_encoding(real_records)
+        table = fit_encoding(to_columns(real_records))
         assert len(table.columns[1]) == 3
 
     def test_ten_fold_sizes(self, real_records):

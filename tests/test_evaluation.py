@@ -257,7 +257,6 @@ class TestFoldThreads:
 
     @staticmethod
     def _use(monkeypatch, kernels, backend):
-        monkeypatch.setattr(classifier, "hinge_epoch", kernels.hinge_epoch)
         monkeypatch.setattr(classifier, "hinge_epoch_batch", kernels.hinge_epoch_batch)
         monkeypatch.setattr(evaluation, "BACKEND", backend)
 

@@ -21,6 +21,7 @@ from swarmids.dataset import (
     encoded_to_text,
     fit_encoding,
     parse_kdd,
+    to_columns,
 )
 from swarmids.errors import DataError, DataWarning, ParseError
 
@@ -164,13 +165,13 @@ class TestErrorOrder:
     )
     def test_numeric_error_names_column_and_encoded_record(self, value, message):
         records = parse_kdd("\n".join(_line() for _ in range(8)))
-        table = fit_encoding(records)
+        table = fit_encoding(to_columns(records))
         bad = ["0"] * N_FEATURES
         bad[4] = value
         records += parse_kdd(_line(features=bad))
         # Record 8 of the parse is record 2 of the rows being encoded.
         with pytest.raises(DataError) as err:
-            encode(records[6:], table)
+            encode(to_columns(records[6:]), table)
         assert str(err.value) == message
 
     def test_rows_dropped_by_subsample_are_not_checked(self, tmp_path, monkeypatch, capsys):

@@ -1,20 +1,23 @@
-"""Backend kernels: availability, hand-checked arithmetic, input checks, and
-bit-identical results between the compiled extension and the pure-Python twin,
-for the per-plane ``hinge_epoch`` and the batched ``hinge_epoch_batch``.
+"""Backend kernels: availability, hand-checked arithmetic, input checks,
+pinned weight bytes, and bit-identical results between the compiled extension
+and the pure-Python twin, for ``hinge_epoch_batch`` (each backend's one SGD
+function) and ``hinge_epoch`` (one plane through it).
 
 The compiled backend under test is the ``build`` fixture's: the repository's
 own ``setup.py`` built into a temporary directory, so the suite checks what an
 install builds, without a prior build step and without writing into ``src/``.
 """
 
+import hashlib
 import io
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from swarmids import classifier, evaluation
-from swarmids._kernels import _hinge_sgd_py, available_backends
+from swarmids._kernels import _hinge_sgd_py, available_backends, hinge_epoch
 from swarmids.dataset import Dataset, parse_kdd
 from swarmids.errors import DataWarning
 from swarmids.evaluation import cross_validate, report_to_json
@@ -29,7 +32,7 @@ from conftest import MISSING_TOOLCHAIN
 def backends(build):
     out = available_backends()
     if build[0] is not None:
-        out["compiled"] = build[0].hinge_epoch
+        out["compiled"] = partial(hinge_epoch, batch=build[0].hinge_epoch_batch)
     return out
 
 
@@ -150,16 +153,15 @@ def test_compiled_rejects_bad_buffers(backends, bad):
         backends["compiled"](args["x"], args["y"], args["order"], args["w"], 0.0, 1.0, 1.0, 0)
 
 
-def test_compiled_kernel_on_fold_threads(backends, batch_backends, monkeypatch):
+def test_compiled_kernel_on_fold_threads(batch_backends, monkeypatch):
     # The compiled kernel releases the GIL, so evaluate's fold pool runs it
     # concurrently (the twin runs its folds one at a time); the report must
     # not depend on backend or thread count.
-    if "compiled" not in backends:
+    if "compiled" not in batch_backends:
         pytest.skip("compiled backend not built")
     records = parse_kdd(make_kdd_csv(400, seed=7))
     reports = []
     for name in ("python", "compiled"):
-        monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
         monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
         monkeypatch.setattr(evaluation, "BACKEND", name)
         for threads in (1, 2):
@@ -190,14 +192,27 @@ def _batch_problem(seed, rows, features, planes):
     return x, y, mask
 
 
+# A full-width plane between two 3-column masks. The second selects columns
+# 0-2, the first three the full plane lists, so a column copy kept by
+# mistake across the full plane would pass for its own.
+FULL_BETWEEN_PARTIALS = np.array([[0, 1, 1, 0, 1, 0], [1] * 6, [1, 1, 1, 0, 0, 0]], dtype=bool).T.copy()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("shape", [(60, 5, 4), (90, 41, 7), (35, 41, 1)],
-                         ids=["60x5x4", "90x41x7", "one-plane"])
-def test_batch_matches_per_plane(backends, batch_backends, seed, shape):
+@pytest.mark.parametrize("shape, masks", [
+    ((60, 5, 4), None),
+    ((90, 41, 7), None),
+    ((35, 41, 1), None),
+    ((50, 5, 4), np.ones((5, 4), dtype=bool)),
+    ((50, 6, 3), FULL_BETWEEN_PARTIALS),
+], ids=["60x5x4", "90x41x7", "one-plane", "full-width", "full-between-partials"])
+def test_batch_matches_per_plane(backends, batch_backends, seed, shape, masks):
     # Each plane of the batch must equal hinge_epoch on its projected
     # columns, on every backend, byte for byte; unselected weights stay +0.0.
     rows, features, planes = shape
     x, y, mask = _batch_problem(seed, rows, features, planes)
+    if masks is not None:
+        mask = masks
     lam, t0 = 1.0 / rows, float(rows)
     rng = np.random.default_rng(seed)
     orders = [np.stack([rng.permutation(rows) for _ in range(planes)]) for _ in range(3)]
@@ -211,12 +226,11 @@ def test_batch_matches_per_plane(backends, batch_backends, seed, shape):
                 b, t = epoch(xp, y[p], np.ascontiguousarray(order[p]), w, b, lam, t0, t)
             expected[name, p] = (w.tobytes(), b, t)
     for name, batch in batch_backends.items():
-        xt = np.ascontiguousarray(x.T)
         w = np.zeros((features, planes))
         b = np.zeros(planes)
         t = 5
         for order in orders:
-            t = batch(xt, y, order, mask, w, b, lam, t0, t)
+            t = batch(x, y, order, mask, w, b, lam, t0, t)
         for p in range(planes):
             for per_plane in backends:
                 assert (w[mask[:, p], p].tobytes(), b[p], t) == expected[per_plane, p], (name, p)
@@ -233,17 +247,46 @@ def test_batch_dot_product_is_sequential(backends, batch_backends, planes):
         w = np.ones(41)
         assert epoch(x, np.ones(1), np.zeros(1, dtype=np.int64), w, 0.0, 1.0, 1.0, 0) == (0.0, 1)
         assert (w == 0.5).all()
+    # A 42nd column no plane selects keeps the batch off the one-plane-at-a-
+    # time path, on the twin's vectorized step and on C's column copy.
+    x = np.append(x, [[3.0]], axis=1)
     for batch in batch_backends.values():
-        w, b = np.ones((41, planes)), np.zeros(planes)
+        mask = np.ones((42, planes), dtype=bool)
+        mask[41] = False
+        w, b = np.where(mask, 1.0, 0.0), np.zeros(planes)
         order = np.zeros((planes, 1), dtype=np.int64)
-        mask = np.ones((41, planes), dtype=bool)
-        assert batch(np.ascontiguousarray(x.T), np.ones((planes, 1)), order, mask, w, b, 1.0, 1.0, 0) == 1
-        assert (w == 0.5).all() and not b.any()
+        assert batch(x, np.ones((planes, 1)), order, mask, w, b, 1.0, 1.0, 0) == 1
+        assert (w[:41] == 0.5).all() and not w[41].any() and not b.any()
+
+
+# sha256 of w.tobytes() + b.tobytes() after test_weight_bytes_pinned's three
+# epochs, taken at commit 9d4e7a5, before x became row-major.
+PINNED_WEIGHTS = "5693d6730553ed2f2c7a448b6a8e632e0416d5b3115aae1bc4228d2ccd3c70a0"
+
+
+def test_weight_bytes_pinned(batch_backends):
+    # Three epochs of a fixed batch on every backend: negative and zero
+    # features, planes 0 and 1 on one mask, plane 2 on every column and
+    # plane 3 on a partial mask after it. No artifact holds a weight, so a
+    # rounding change in the kernel (one ulp in the step) shows only here.
+    rng = np.random.default_rng(2024)
+    x = rng.normal(size=(40, 6))
+    x[rng.random(x.shape) < 0.25] = 0.0
+    y = np.where(rng.random((4, 40)) < 0.5, -1.0, 1.0)
+    mask = np.array([[1, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 0],
+                     [1, 1, 1, 1], [0, 0, 1, 0], [1, 1, 1, 1]], dtype=bool)
+    orders = [np.stack([rng.permutation(40) for _ in range(4)]) for _ in range(3)]
+    for name, batch in batch_backends.items():
+        w, b, t = np.zeros(mask.shape), np.zeros(4), 0
+        for order in orders:
+            t = batch(x, y, order, mask, w, b, 1.0 / 40, 40.0, t)
+        assert t == 120
+        assert hashlib.sha256(w.tobytes() + b.tobytes()).hexdigest() == PINNED_WEIGHTS, name
 
 
 def _batch_args(rows=4, features=3, planes=2):
     x, y, mask = _batch_problem(0, rows, features, planes)
-    return {"x": np.ascontiguousarray(x.T), "y": y, "order": np.tile(np.arange(rows), (planes, 1)),
+    return {"x": x, "y": y, "order": np.tile(np.arange(rows), (planes, 1)),
             "mask": mask, "w": np.zeros((features, planes)), "b": np.zeros(planes)}
 
 
@@ -280,7 +323,7 @@ def test_batch_shape_mismatch_raises(batch_backends, bad):
 
 @pytest.mark.parametrize("bad", [
     {"mask": np.ones((3, 2), dtype=np.uint8)},
-    {"x": np.ones((3, 4), dtype=np.float32)},
+    {"x": np.ones((4, 3), dtype=np.float32)},
     {"order": np.zeros((2, 4), dtype=np.int32)},
     {"w": _readonly(np.zeros((3, 2)))},
     {"b": _readonly(np.zeros(2))},
@@ -294,7 +337,7 @@ def test_compiled_batch_rejects_bad_buffers(batch_backends, bad):
         _call_batch(batch_backends["compiled"], a)
 
 
-def test_compiled_population(backends, batch_backends, synth_dataset, monkeypatch):
+def test_compiled_population(batch_backends, synth_dataset, monkeypatch):
     # One WrapperObjective population trained by the compiled batched
     # kernel scores, traces and counts exactly like the twin.
     if "compiled" not in batch_backends:
@@ -304,7 +347,6 @@ def test_compiled_population(backends, batch_backends, synth_dataset, monkeypatc
     masks.append(masks[2].copy())
     results = []
     for name in ("python", "compiled"):
-        monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
         monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
         trace = io.StringIO()
         objective = WrapperObjective(synth_dataset, run_seed=2, svm_config=classifier.SvmConfig(),
@@ -314,10 +356,11 @@ def test_compiled_population(backends, batch_backends, synth_dataset, monkeypatc
     assert results[0][2] == 8
 
 
-def test_train_ova_on_every_backend(backends, batch_backends, monkeypatch):
-    # Each mask trained alone (per-plane kernel) equals the same mask
-    # trained inside a several-mask call (batched kernel), bit for bit, on
-    # every backend, with negative features and a class absent from the rows.
+def test_train_ova_on_every_backend(batch_backends, monkeypatch):
+    # Each mask trained alone (every plane selects every projected column)
+    # equals the same mask trained inside a several-mask call (partial
+    # masks), bit for bit, on every backend, with negative features and a
+    # class absent from the rows.
     rng = np.random.default_rng(8)
     labels = np.array([0, 1, 2, 4] * 30)
     rows = rng.normal(size=(120, 9)) + labels[:, None] * 0.4
@@ -329,15 +372,14 @@ def test_train_ova_on_every_backend(backends, batch_backends, monkeypatch):
     for step_offset in (None, 0.0, 7.0):
         config = classifier.SvmConfig(epochs=3, step_offset=step_offset)
         runs = []
-        for name in backends:
-            monkeypatch.setattr(classifier, "hinge_epoch", backends[name])
+        for name in batch_backends:
             monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
             alone = [classifier.train_ova(ds, config, [m], [s])[0] for s, m in enumerate(masks)]
             for models in (classifier.train_ova(ds, config, masks, range(5)), alone):
                 assert all(np.array_equal(model.mask, m) for model, m in zip(models, masks))
                 runs.append([[None if p is None else (p.w.tobytes(), p.b) for p in model.planes]
                              for model in models])
-        assert len(runs) == 2 * len(backends) and all(run == runs[0] for run in runs)
+        assert len(runs) == 2 * len(batch_backends) and all(run == runs[0] for run in runs)
         assert all(model[3] is None for model in runs[0])
         first_runs.append(runs[0])
     assert first_runs[0] != first_runs[2]  # the step offset reaches the kernel
