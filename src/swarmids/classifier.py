@@ -7,6 +7,11 @@ kept, which makes the final objective never worse than after epoch one.
 The per-sample inner loop runs in the compiled kernel when available.
 ``train_ova`` trains the planes of one or several feature masks through
 one epoch loop, with one batched kernel call per epoch.
+
+Margins w.x - b, for the objective and for predictions alike, are summed
+in feature order by one helper, as the kernel sums them, and never through
+BLAS, whose kernel (and so its rounding) is picked for the CPU at run
+time: models and predictions do not depend on the BLAS build or the CPU.
 """
 
 from __future__ import annotations
@@ -83,13 +88,23 @@ class SvmModel:
             raise TrainingError("plane dimension must equal mask popcount")
 
 
-def hinge_objective(x: np.ndarray, y: np.ndarray, plane: Hyperplane, c: float) -> float:
-    """Regularizer plus mean hinge loss of a plane on (x, y in {-1,+1})."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    lam = 1.0 / (c * x.shape[0])
-    margins = y * (x @ plane.w - plane.b)
-    return float(lam / 2.0 * plane.w @ plane.w + np.mean(np.maximum(0.0, 1.0 - margins)))
+def _margins(xt: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(planes, rows) matrix w.x - b of the planes ``w[:, p]``, ``b[p]`` over
+    the feature-major rows ``xt`` (features, rows), summed in feature order."""
+    out = np.zeros((w.shape[1], xt.shape[1]))
+    for wf, xf in zip(w, xt):
+        out += wf[:, None] * xf
+    return out - b[:, None]
+
+
+def hinge_objective(xt: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray,
+                    lam: float) -> np.ndarray:
+    """Regularizer lam/2*|w|^2 plus mean hinge loss of each plane ``w[:, p]``,
+    ``b[p]`` on the feature-major rows ``xt`` with labels ``y[p]`` in
+    {-1, +1}; one value per plane."""
+    # |w|^2 in feature order too: numpy's sum pairs terms by the batch width.
+    hinge = np.maximum(0.0, 1.0 - y * _margins(xt, w, b))
+    return lam / 2.0 * np.add.accumulate(w * w)[-1] + np.mean(hinge, axis=1)
 
 
 def _train_planes(
@@ -106,7 +121,8 @@ def _train_planes(
     All planes share the step counter; each draws its own permutation every
     epoch and keeps its epoch-end iterate with the lowest objective. The
     kernel trains every plane in one ``hinge_epoch_batch`` call per epoch,
-    on the columns that some mask selects.
+    on the columns that some mask selects; the objective then scores the
+    planes of each mask together, on that mask's columns.
     """
     n = rows.shape[0]
     lam = 1.0 / (config.c * n)
@@ -117,24 +133,25 @@ def _train_planes(
     t = 0
     union = np.logical_or.reduce(masks)
     x = rows.compress(union, axis=1)
-    selected = np.stack([masks[j][union] for j in plan], axis=1)
+    xt = np.ascontiguousarray(x.T)
+    columns = [mask[union] for mask in masks]
+    groups = [np.flatnonzero(np.equal(plan, j)) for j in range(len(masks))]
+    selected = np.stack([columns[j] for j in plan], axis=1)
     w = np.zeros(selected.shape)
-    best: list[tuple[float, Hyperplane] | None] = [None] * len(rngs)
-    for _ in range(config.epochs):
+    objective, best = np.empty(len(rngs)), np.full(len(rngs), np.inf)
+    best_w, best_b = w.copy(), b.copy()
+    for epoch in range(config.epochs):
         for p, rng in enumerate(rngs):
             order[p] = rng.permutation(n)
         t = hinge_epoch_batch(x, y, order, selected, w, b, lam, t0, t)
-        # One mask's projection is held at a time; a mask that selects
-        # every column of x (as one mask always does) reads x itself.
-        for j, mask in enumerate(masks):
-            columns = mask[union]
-            projected = x if columns.all() else x.compress(columns, axis=1)
-            for p in (p for p, k in enumerate(plan) if k == j):
-                plane = Hyperplane(w[columns, p], b[p])
-                objective = hinge_objective(projected, y[p], plane, config.c)
-                if best[p] is None or objective < best[p][0]:
-                    best[p] = (objective, plane)
-    return [plane for _, plane in best]
+        for cols, planes in zip(columns, groups):
+            objective[planes] = hinge_objective(xt[cols], y[planes], w[np.ix_(cols, planes)],
+                                                b[planes], lam)
+        keep = (objective < best) | (epoch == 0)
+        best[keep] = objective[keep]
+        best_w[:, keep] = w[:, keep]
+        best_b[keep] = b[keep]
+    return [Hyperplane(best_w[columns[j], p], best_b[p]) for p, j in enumerate(plan)]
 
 
 def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperplane:
@@ -146,6 +163,8 @@ def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperp
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise TrainingError("x must be (n, d) and y must be (n,)")
+    if not np.isfinite(x).all():
+        raise TrainingError("rows must be finite")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise TrainingError("labels must be -1 or +1")
     if not ((y > 0).any() and (y < 0).any()):
@@ -202,11 +221,12 @@ def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
         raise TrainingError(
             f"dimension mismatch: rows have {x.shape[1]} features, model expects {model.mask.size}"
         )
-    x = x.compress(model.mask, axis=1)
+    present = [k for k, plane in enumerate(model.planes) if plane is not None]
     out = np.full((x.shape[0], len(model.planes)), -np.inf, dtype=np.float64)
-    for k, plane in enumerate(model.planes):
-        if plane is not None:
-            out[:, k] = x @ plane.w - plane.b
+    if present:
+        w = np.stack([model.planes[k].w for k in present], axis=1)
+        b = np.array([model.planes[k].b for k in present])
+        out[:, present] = _margins(x.T.compress(model.mask, axis=0), w, b).T
     return out
 
 

@@ -138,6 +138,8 @@ class Dataset:
             raise DataError("rows must be a 2-d matrix")
         if labels.shape != (rows.shape[0],):
             raise DataError("labels length must match row count")
+        if not np.isfinite(rows).all():
+            raise DataError("rows must be finite")
         check_labels(labels, "label")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)

@@ -1,11 +1,17 @@
 """Linear SVM training, decision geometry, and one-vs-all."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmids
 from swarmids.classifier import (
     Hyperplane,
     SvmConfig,
@@ -91,7 +97,15 @@ class TestTrainBinary:
         x, y = _separable_twenty(seed=3)
         first = train_binary(x, y, SvmConfig(c=1.0, epochs=1, seed=4))
         full = train_binary(x, y, SvmConfig(c=1.0, epochs=25, seed=4))
-        assert hinge_objective(x, y, full, 1.0) <= hinge_objective(x, y, first, 1.0)
+        assert _objective(x, y, full, 1.0) <= _objective(x, y, first, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, value):
+        # A NaN margin compares false, so the row would count as satisfied.
+        x, y = _separable_twenty()
+        x[3, 1] = value
+        with pytest.raises(TrainingError, match="finite"):
+            train_binary(x, y, SvmConfig(epochs=2))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -106,6 +120,68 @@ class TestTrainBinary:
         with pytest.raises(ConfigError, match="step_offset"):
             SvmConfig(step_offset=-1)
         SvmConfig(step_offset=0.0)
+
+
+def _objective(x, y, plane, c):
+    """The objective of one plane on rows ``x``, through the batched
+    ``hinge_objective`` with lam = 1/(C*N)."""
+    (value,) = hinge_objective(np.ascontiguousarray(x.T), y[None], plane.w[:, None],
+                               np.array([plane.b]), 1.0 / (c * x.shape[0]))
+    return value
+
+
+class TestHingeObjective:
+    @pytest.mark.parametrize("planes", [1, 2, 5])
+    def test_batch_equals_each_plane_alone(self, planes):
+        # 41 features and 257 rows are past numpy's 8-wide pairwise blocks,
+        # so a sum whose order depends on the batch width shows here; lam = 1
+        # keeps the regularizer's last bits in the objective.
+        rng = np.random.default_rng(planes)
+        xt = rng.normal(size=(41, 257))
+        y = np.where(rng.random((planes, 257)) < 0.5, -1.0, 1.0)
+        w, b = rng.normal(size=(41, planes)), rng.normal(size=planes)
+        batch = hinge_objective(xt, y, w, b, 1.0)
+        assert batch.shape == (planes,)
+        for p in range(planes):
+            (alone,) = hinge_objective(xt, y[p:p + 1], w[:, p:p + 1], b[p:p + 1], 1.0)
+            assert batch[p].tobytes() == alone.tobytes()
+        hinge = np.maximum(0.0, 1.0 - y * (w.T @ xt - b[:, None]))
+        expected = 0.5 * (w ** 2).sum(axis=0) + hinge.mean(axis=1)
+        np.testing.assert_allclose(batch, expected, rtol=1e-12)
+
+
+BLAS_PROBE = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from swarmids.classifier import Hyperplane, SvmModel, decision_values, hinge_objective
+    rng = np.random.default_rng(0)
+    x = rng.random((64, 9))
+    w, b = rng.normal(size=(9, 5)), rng.normal(size=5)
+    y = np.where(rng.random((5, 64)) < 0.5, -1.0, 1.0)
+    model = SvmModel(tuple(Hyperplane(w[:, k], b[k]) for k in range(5)), np.ones(9, dtype=bool))
+    for values in (x @ w, decision_values(model, x),
+                   hinge_objective(np.ascontiguousarray(x.T), y, w, b, 0.01)):
+        print(hashlib.sha256(values.tobytes()).hexdigest())
+""")
+
+
+def test_bytes_do_not_depend_on_blas_core_type():
+    # OpenBLAS picks its kernel for the CPU at run time, and the kernels
+    # round differently; OPENBLAS_CORETYPE forces one, in the child only.
+    # The probe's own x @ w shows whether the variable took effect.
+    src = str(Path(swarmids.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for core in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                              text=True, timeout=120, env={**env, **core})
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    (blas, *ours), (blas_prescott, *ours_prescott) = digests
+    if blas == blas_prescott:
+        pytest.skip("this numpy's BLAS rounds the same under every core type")
+    assert ours == ours_prescott
 
 
 def decision(plane, x):
@@ -326,13 +402,18 @@ class TestPredict:
             predict(model, np.zeros(5))
 
     def test_model_applies_its_own_mask(self):
+        # Every plane present, some absent, and none: absent classes read -inf.
         rng = np.random.default_rng(6)
         mask = np.array([True, False, True, True, False, False, True])
         w, b = rng.normal(size=(4, len(CLASS_NAMES))), rng.normal(size=len(CLASS_NAMES))
-        model = SvmModel(tuple(Hyperplane(w[:, k], b[k]) for k in range(len(CLASS_NAMES))), mask)
         rows = rng.normal(size=(40, mask.size))
-        expected = np.argmax(rows[:, mask] @ w - b, axis=1)
-        assert np.array_equal(predict(model, rows), expected)
+        for present in (range(len(CLASS_NAMES)), (0, 2, 4), ()):
+            model = SvmModel(tuple(Hyperplane(w[:, k], b[k]) if k in present else None
+                                   for k in range(len(CLASS_NAMES))), mask)
+            expected = np.where(np.isin(np.arange(len(CLASS_NAMES)), present),
+                                rows[:, mask] @ w - b, -np.inf)
+            np.testing.assert_allclose(decision_values(model, rows), expected, rtol=1e-12)
+            assert np.array_equal(predict(model, rows), np.argmax(expected, axis=1))
 
     def test_rows_of_popcount_width_rejected(self):
         mask = np.array([True, False, True, True, False])

@@ -186,6 +186,11 @@ class TestEncoding:
         with pytest.raises(DataError, match=rf"'{value}'.*column 0 \(duration\), record 1"):
             encode(columns, fit_encoding(columns))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_dataset_rejects_non_finite_rows(self, value):
+        with pytest.raises(DataError, match="rows must be finite"):
+            Dataset(np.array([[value, 1.0]]), [0])
+
 
 class TestNormalize:
     def _dataset(self, column):

@@ -1,6 +1,7 @@
 """Package structure, read from the source with ``ast``: the internal
-import graph has no cycle, no module reads the environment, and the class
-list lives only in ``dataset.CLASS_NAMES``."""
+import graph has no cycle, no module reads the environment, the class
+list lives only in ``dataset.CLASS_NAMES``, and the classifier calls no
+BLAS."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,35 @@ def test_class_list_is_not_carried_around():
                                            "class_names")
     ]
     assert not found, f"class_names as a field or parameter: {found}"
+
+
+BLAS_CALLS = ("dot", "vdot", "inner", "matmul", "einsum", "tensordot")
+
+
+def _blas_uses(tree: ast.AST) -> list[int]:
+    """Lines with a ``@`` or a call of a function named in ``BLAS_CALLS``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in BLAS_CALLS:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_blas_finder():
+    tree = ast.parse(
+        "a = x @ w\nb = np.dot(x, w)\nc = x.dot(w)\nd = np.einsum('ij,j', x, w)\n"
+        "e = x * w\nf = np.add.accumulate(x)\nx @= w\ng = inner(x, w)\n"
+    )
+    assert _blas_uses(tree) == [1, 2, 3, 4, 7, 8]
+
+
+def test_classifier_calls_no_blas():
+    # OpenBLAS picks its kernel, and so its rounding, for the CPU at run
+    # time; margins that decide predictions are summed in feature order.
+    path = _modules()["swarmids.classifier"]
+    found = _blas_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"BLAS in classifier.py at lines {found}"
