@@ -104,37 +104,46 @@ sgd_steps(const double *x, Py_ssize_t cols, const double *y, const long long *or
     return b;
 }
 
-static const struct arg batch_args[6] = {
-    {"x", 2, 'd', 0}, {"y", 2, 'd', 0}, {"order", 2, 'i', 0},
-    {"mask", 2, 'b', 0}, {"w", 2, 'd', 1}, {"b", 1, 'd', 1},
+static const struct arg train_args[8] = {
+    {"x", 2, 'd', 0}, {"y", 2, 'd', 0}, {"orders", 3, 'i', 0}, {"mask", 2, 'b', 0},
+    {"w", 2, 'd', 1}, {"b", 1, 'd', 1}, {"w_epochs", 3, 'd', 1}, {"b_epochs", 2, 'd', 1},
 };
 
 static PyObject *
-run_batch(Py_buffer *v, double lam, double t0, long long t)
+run_train(Py_buffer *v, double lam, double t0, long long t)
 {
     const double *x = v[0].buf, *y = v[1].buf;
-    const long long *order = v[2].buf;
+    const long long *orders = v[2].buf;
     const char *mask = v[3].buf;
-    double *w = v[4].buf, *b = v[5].buf;
+    double *w = v[4].buf, *b = v[5].buf, *w_epochs = v[6].buf, *b_epochs = v[7].buf;
     Py_ssize_t rows = v[0].shape[0], features = v[0].shape[1];
-    Py_ssize_t planes = v[2].shape[0], n = v[2].shape[1];
+    Py_ssize_t epochs = v[2].shape[0], planes = v[2].shape[1], n = v[2].shape[2];
 
     if (v[1].shape[0] != planes || v[1].shape[1] != rows)
-        return PyErr_Format(PyExc_ValueError, "y has shape (%zd, %zd) but order and x need (%zd, %zd)",
+        return PyErr_Format(PyExc_ValueError, "y has shape (%zd, %zd) but orders and x need (%zd, %zd)",
                             v[1].shape[0], v[1].shape[1], planes, rows);
     for (int i = 3; i < 5; i++)
         if (v[i].shape[0] != features || v[i].shape[1] != planes)
             return PyErr_Format(PyExc_ValueError, "%s has shape (%zd, %zd) but must be (%zd, %zd)",
-                                batch_args[i].name, v[i].shape[0], v[i].shape[1], features, planes);
+                                train_args[i].name, v[i].shape[0], v[i].shape[1], features, planes);
     if (v[5].shape[0] != planes)
-        return PyErr_Format(PyExc_ValueError, "b has %zd entries but order has %zd planes",
+        return PyErr_Format(PyExc_ValueError, "b has %zd entries but orders has %zd planes",
                             v[5].shape[0], planes);
-    if (!order_in_range(order, planes * n, rows))
+    if (v[6].shape[0] != epochs || v[6].shape[1] != features || v[6].shape[2] != planes
+        || v[7].shape[0] != epochs || v[7].shape[1] != planes)
+        return PyErr_Format(PyExc_ValueError,
+                            "w_epochs and b_epochs must be (%zd, %zd, %zd) and (%zd, %zd)",
+                            epochs, features, planes, epochs, planes);
+    if (!order_in_range(orders, epochs * planes * n, rows))
         return NULL;
+    for (Py_ssize_t i = 0; i < features * planes; i++)
+        if (!mask[i] && w[i] != 0.0)
+            return PyErr_Format(PyExc_ValueError, "w has a nonzero weight outside the mask");
 
     /* A plane that selects every column trains on x itself, any other on a
      * row-major copy of its selected columns, shared with the previous plane
-     * when both select the same ones. */
+     * when both select the same ones. A plane runs all its epochs on one
+     * copy; epoch e starts at step t + e * n. */
     Py_ssize_t *cols = PyMem_Malloc((features + 1) * sizeof *cols);
     double *wp = PyMem_Malloc((features + 1) * sizeof *wp);
     double *xp = PyMem_Malloc((rows * features + 1) * sizeof *xp);
@@ -167,43 +176,53 @@ run_batch(Py_buffer *v, double lam, double t0, long long t)
         }
         for (Py_ssize_t j = 0; j < d; j++)
             wp[j] = w[cols[j] * planes + p];
-        b[p] = sgd_steps(xs, d, y + p * rows, order + p * n, n, wp, d, b[p], lam, t0, t);
-        for (Py_ssize_t j = 0; j < d; j++)
-            w[cols[j] * planes + p] = wp[j];
+        double bp = b[p];
+        for (Py_ssize_t e = 0; e < epochs; e++) {
+            bp = sgd_steps(xs, d, y + p * rows, orders + (e * planes + p) * n, n, wp, d, bp,
+                           lam, t0, t + (long long)(e * n));
+            for (Py_ssize_t j = 0; j < d; j++)
+                w[cols[j] * planes + p] = wp[j];
+            for (Py_ssize_t k = 0; k < features; k++)
+                w_epochs[(e * features + k) * planes + p] = w[k * planes + p];
+            b_epochs[e * planes + p] = bp;
+        }
+        b[p] = bp;
     }
     Py_END_ALLOW_THREADS
     PyMem_Free(cols);
     PyMem_Free(wp);
     PyMem_Free(xp);
-    return PyLong_FromLongLong(t + (long long)n);
+    return PyLong_FromLongLong(t + (long long)(epochs * n));
 }
 
 static PyObject *
-hinge_epoch_batch(PyObject *self, PyObject *args)
+hinge_train(PyObject *self, PyObject *args)
 {
-    PyObject *objs[6], *result;
-    Py_buffer views[6];
+    PyObject *objs[8], *result;
+    Py_buffer views[8];
     double lam, t0;
     long long t;
 
-    if (!PyArg_ParseTuple(args, "OOOOOOddL:hinge_epoch_batch", &objs[0], &objs[1], &objs[2],
-                          &objs[3], &objs[4], &objs[5], &lam, &t0, &t))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOddL:hinge_train", &objs[0], &objs[1], &objs[2],
+                          &objs[3], &objs[4], &objs[5], &objs[6], &objs[7], &lam, &t0, &t))
         return NULL;
-    if (get_buffers(objs, views, batch_args, 6) < 0)
+    if (get_buffers(objs, views, train_args, 8) < 0)
         return NULL;
-    result = run_batch(views, lam, t0, t);
-    release_buffers(views, 6);
+    result = run_train(views, lam, t0, t);
+    release_buffers(views, 8);
     return result;
 }
 
 static PyMethodDef methods[] = {
-    {"hinge_epoch_batch", hinge_epoch_batch, METH_VARARGS,
-     "hinge_epoch_batch(x, y, order, mask, w, b, lam, t0, t) -> t\n\n"
-     "Run one epoch of SGD for several planes; updates ``w`` and ``b`` in place.\n\n"
-     "``x`` is (rows, features); plane p visits rows ``order[p]`` with labels\n"
-     "``y[p]`` and trains ``w[:, p]``, ``b[p]`` on the features where\n"
-     "``mask[:, p]`` is set, from step ``t``; its other weights, which must\n"
-     "be zero, are left alone. Returns the new global step counter."},
+    {"hinge_train", hinge_train, METH_VARARGS,
+     "hinge_train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t) -> t\n\n"
+     "Run every epoch of SGD for several planes; updates ``w`` and ``b`` in place.\n\n"
+     "``x`` is (rows, features) and ``orders`` (epochs, planes, steps). In epoch e,\n"
+     "plane p visits rows ``orders[e, p]`` with labels ``y[p]`` from step\n"
+     "``t + e * steps`` and trains ``w[:, p]``, ``b[p]`` on the features where\n"
+     "``mask[:, p]`` is set; its other weights must be zero and are left alone.\n"
+     "The iterate at the end of epoch e goes to ``w_epochs[e]`` and ``b_epochs[e]``.\n"
+     "Returns the new global step counter ``t + epochs * steps``."},
     {NULL, NULL, 0, NULL},
 };
 

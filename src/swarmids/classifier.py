@@ -5,8 +5,9 @@ lam/2*|w|^2 + mean hinge with lam = 1/(C*N), step 1/(lam*(t0+t)), shuffled
 epochs under a seed. The epoch-end iterate with the lowest objective is
 kept, which makes the final objective never worse than after epoch one.
 The per-sample inner loop runs in the compiled kernel when available.
-``train_ova`` trains the planes of one or several feature masks through
-one epoch loop, with one batched kernel call per epoch.
+``train_ova`` trains the planes of one or several feature masks, every
+epoch, in one kernel call per chunk of masks, and scores all their
+epoch-end iterates afterwards.
 
 Margins w.x - b, for the objective and for predictions alike, are summed
 in feature order by one helper, as the kernel sums them, and never through
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import hinge_epoch, hinge_epoch_batch  # noqa: F401 - hinge_epoch: traced by name
+from ._kernels import hinge_epoch, hinge_train  # noqa: F401 - hinge_epoch: traced by name
 from .dataset import CLASS_NAMES, Dataset
 from .errors import ConfigError, TrainingError
 from .seeds import derive_seed
@@ -92,9 +93,11 @@ def _margins(xt: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(planes, rows) matrix w.x - b of the planes ``w[:, p]``, ``b[p]`` over
     the feature-major rows ``xt`` (features, rows), summed in feature order."""
     out = np.zeros((w.shape[1], xt.shape[1]))
+    term = np.empty_like(out)
     for wf, xf in zip(w, xt):
-        out += wf[:, None] * xf
-    return out - b[:, None]
+        out += np.multiply(wf[:, None], xf, out=term)
+    out -= b[:, None]
+    return out
 
 
 def hinge_objective(xt: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -102,9 +105,56 @@ def hinge_objective(xt: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray,
     """Regularizer lam/2*|w|^2 plus mean hinge loss of each plane ``w[:, p]``,
     ``b[p]`` on the feature-major rows ``xt`` with labels ``y[p]`` in
     {-1, +1}; one value per plane."""
+    hinge = _margins(xt, w, b)
+    hinge *= y
+    np.maximum(0.0, np.subtract(1.0, hinge, out=hinge), out=hinge)
     # |w|^2 in feature order too: numpy's sum pairs terms by the batch width.
-    hinge = np.maximum(0.0, 1.0 - y * _margins(xt, w, b))
     return lam / 2.0 * np.add.accumulate(w * w)[-1] + np.mean(hinge, axis=1)
+
+
+# Bytes of row orders (epochs x planes x rows, int64) that one kernel call
+# may take; a larger fill trains its masks in chunks.
+ORDER_BYTES = 1 << 24
+# Bytes of one (planes x rows) float64 array in an objective call; a mask
+# whose iterates of all epochs would pass it is scored a few epochs at a time.
+SCORE_BYTES = 1 << 18
+
+
+def _best_epochs(objective: np.ndarray) -> np.ndarray:
+    """Index of the kept epoch of each plane, from its objective at every
+    epoch end (epochs, planes): epoch 0, unless a later epoch is strictly
+    lower than every epoch before it; so ties keep the earliest, and a NaN
+    wins only at epoch 0."""
+    later = np.where(np.isnan(objective[1:]), np.inf, objective[1:])
+    return np.argmin(np.concatenate([objective[:1], later]), axis=0)
+
+
+def _epoch_objectives(xt: np.ndarray, y: np.ndarray, w_epochs: np.ndarray,
+                      b_epochs: np.ndarray, lam: float) -> np.ndarray:
+    """``hinge_objective`` of the planes ``y[p]`` at every epoch end, from
+    ``w_epochs`` (epochs, features, planes) and ``b_epochs`` (epochs,
+    planes): one value per epoch and plane. Each call scores several epochs
+    as one batch, in which column e * planes + p is plane p after epoch e."""
+    epochs, features, planes = w_epochs.shape
+    span = max(1, SCORE_BYTES // (8 * planes * xt.shape[1]))
+    out = np.empty((epochs, planes))
+    for e in range(0, epochs, span):
+        w, b = w_epochs[e:e + span], b_epochs[e:e + span]
+        out[e:e + len(w)] = hinge_objective(
+            xt, np.tile(y, (len(w), 1)), w.transpose(1, 0, 2).reshape(features, -1), b.ravel(), lam
+        ).reshape(b.shape)
+    return out
+
+
+def _orders(seeds: Sequence[int], epochs: int, n: int) -> np.ndarray:
+    """(epochs, planes, n) row orders: plane p's generator under
+    ``seeds[p]`` draws one permutation per epoch, in epoch order."""
+    orders = np.empty((epochs, len(seeds), n), dtype=np.int64)
+    for p, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for epoch in range(epochs):
+            orders[epoch, p] = rng.permutation(n)
+    return orders
 
 
 def _train_planes(
@@ -116,42 +166,43 @@ def _train_planes(
     config: SvmConfig,
 ) -> list[Hyperplane]:
     """Train plane p on labels ``y[p]`` (in {-1, +1}) over the columns of
-    ``rows`` that ``masks[plan[p]]`` selects, shuffled under ``seeds[p]``.
+    ``rows`` that ``masks[plan[p]]`` selects, shuffled under ``seeds[p]``;
+    ``plan`` lists the planes of each mask together, in mask order.
 
-    All planes share the step counter; each draws its own permutation every
-    epoch and keeps its epoch-end iterate with the lowest objective. The
-    kernel trains every plane in one ``hinge_epoch_batch`` call per epoch,
-    on the columns that some mask selects; the objective then scores the
-    planes of each mask together, on that mask's columns.
+    All planes share the step counter; each draws its own permutation for
+    every epoch and keeps its epoch-end iterate with the lowest objective.
+    The kernel trains a chunk of masks' planes, all epochs, in one
+    ``hinge_train`` call, on the columns that some mask selects; the
+    objective then scores every epoch-end iterate of each mask's planes
+    together, on that mask's columns. Chunks keep the orders of one call
+    under ``ORDER_BYTES``.
     """
     n = rows.shape[0]
+    epochs = config.epochs
     lam = 1.0 / (config.c * n)
     t0 = float(math.ceil(config.c * n)) if config.step_offset is None else float(config.step_offset)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    order = np.empty((len(rngs), n), dtype=np.int64)
-    b = np.zeros(len(rngs))
-    t = 0
     union = np.logical_or.reduce(masks)
     x = rows.compress(union, axis=1)
-    xt = np.ascontiguousarray(x.T)
     columns = [mask[union] for mask in masks]
-    groups = [np.flatnonzero(np.equal(plan, j)) for j in range(len(masks))]
-    selected = np.stack([columns[j] for j in plan], axis=1)
-    w = np.zeros(selected.shape)
-    objective, best = np.empty(len(rngs)), np.full(len(rngs), np.inf)
-    best_w, best_b = w.copy(), b.copy()
-    for epoch in range(config.epochs):
-        for p, rng in enumerate(rngs):
-            order[p] = rng.permutation(n)
-        t = hinge_epoch_batch(x, y, order, selected, w, b, lam, t0, t)
-        for cols, planes in zip(columns, groups):
-            objective[planes] = hinge_objective(xt[cols], y[planes], w[np.ix_(cols, planes)],
-                                                b[planes], lam)
-        keep = (objective < best) | (epoch == 0)
-        best[keep] = objective[keep]
-        best_w[:, keep] = w[:, keep]
-        best_b[keep] = b[keep]
-    return [Hyperplane(best_w[columns[j], p], best_b[p]) for p, j in enumerate(plan)]
+    plan = np.asarray(plan)
+    chunk = max(1, ORDER_BYTES // (8 * epochs * n * int(np.bincount(plan).max())))
+    out = []
+    for first in range(0, len(masks), chunk):
+        lo, hi = np.searchsorted(plan, [first, first + chunk])
+        selected = np.stack([columns[j] for j in plan[lo:hi]], axis=1)
+        w, b = np.zeros(selected.shape), np.zeros(hi - lo)
+        w_epochs, b_epochs = np.empty((epochs,) + w.shape), np.empty((epochs, hi - lo))
+        hinge_train(x, y[lo:hi], _orders(seeds[lo:hi], epochs, n), selected, w, b, w_epochs,
+                    b_epochs, lam, t0, 0)
+        objective = np.empty(b_epochs.shape)
+        for j in range(first, min(first + chunk, len(masks))):
+            a, z = np.searchsorted(plan[lo:hi], [j, j + 1])
+            objective[:, a:z] = _epoch_objectives(x.T[columns[j]], y[lo + a:lo + z],
+                                                  w_epochs[:, columns[j], a:z], b_epochs[:, a:z], lam)
+        best = _best_epochs(objective)
+        out += [Hyperplane(w_epochs[e, columns[plan[p]], p - lo], b_epochs[e, p - lo])
+                for p, e in zip(range(lo, hi), best)]
+    return out
 
 
 def train_binary(x: np.ndarray, y: Sequence[float], config: SvmConfig) -> Hyperplane:

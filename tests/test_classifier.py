@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import swarmids
+from swarmids import classifier
 from swarmids.classifier import (
     Hyperplane,
     SvmConfig,
@@ -337,6 +338,56 @@ class TestTrainOvaMany:
             expected = train_binary(ds.rows[:, mask], labels,
                                     SvmConfig(epochs=3, seed=derive_seed(5, "ova", k)))
             assert plane.w.tobytes() == expected.w.tobytes() and plane.b == expected.b
+
+    @pytest.mark.parametrize("masks_per_chunk", [1, 2])
+    def test_chunks_train_the_same_planes(self, monkeypatch, masks_per_chunk):
+        # Orders past the byte budget split the masks into chunks, and
+        # objective batches past theirs split the epochs; both train to the
+        # same bytes as one call. One mask's orders take 8 bytes x 4 epochs
+        # x 100 rows x 5 planes, and one epoch of its objective 8 x 100 x 5.
+        ds = _signed_dataset(seed=2)
+        masks = [np.array(bits, dtype=bool) for bits in
+                 ([0, 1, 0, 0, 1, 1], [1, 1, 1, 1, 1, 1], [1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 1],
+                  [0, 0, 1, 0, 0, 0])]
+        config = SvmConfig(epochs=4)
+        whole = train_ova(ds, config, masks, range(5))
+        monkeypatch.setattr(classifier, "ORDER_BYTES", masks_per_chunk * 8 * 4 * 100 * 5)
+        monkeypatch.setattr(classifier, "SCORE_BYTES", masks_per_chunk * 8 * 100 * 5)
+        chunked = train_ova(ds, config, masks, range(5))
+        for a, b in zip(whole, chunked):
+            assert [(p.w.tobytes(), p.b) for p in a.planes] == [(p.w.tobytes(), p.b) for p in b.planes]
+
+    def test_best_epoch_rule_matches_loop(self, monkeypatch):
+        # The kept epoch of each plane, picked from all epoch-end objectives
+        # at once, is the one the former per-epoch loop kept: epoch 0 first,
+        # then any later epoch strictly lower than the best so far. So ties
+        # keep the earliest epoch, and a NaN wins only at epoch 0.
+        nan = math.nan
+        first = np.array([[2, 1, nan, 0, 3], [1, 1, 0, 1, nan], [1, 1, -1, nan, 2], [0.5, 1, -2, 0, 2]])
+        rng = np.random.default_rng(0)
+        second = rng.integers(0, 3, size=first.shape).astype(float)
+        second[rng.random(second.shape) < 0.2] = nan
+        planned, calls = [first, second], []
+
+        def fake_objective(xt, y, w, b, lam):
+            calls.append((w.copy(), b.copy()))
+            return planned[len(calls) - 1].ravel().copy()
+
+        monkeypatch.setattr(classifier, "hinge_objective", fake_objective)
+        masks = [np.array([1, 0, 1, 1, 0, 1], dtype=bool), np.array([0, 1, 1, 0, 0, 1], dtype=bool)]
+        models = train_ova(_signed_dataset(seed=4), SvmConfig(epochs=4), masks, [3, 4])
+        assert len(calls) == 2
+        for j, (model, objective, (w, b)) in enumerate(zip(models, planned, calls)):
+            best, kept = np.full(5, np.inf), np.zeros(5, dtype=int)
+            for epoch, values in enumerate(objective):
+                keep = (values < best) | (epoch == 0)
+                best[keep] = values[keep]
+                kept[keep] = epoch
+            if j == 0:
+                assert kept.tolist() == [3, 0, 0, 0, 2]
+            for q, plane in enumerate(model.planes):
+                column = kept[q] * 5 + q  # column e * planes + q is plane q after epoch e
+                assert plane.w.tobytes() == w[:, column].tobytes() and plane.b == b[column], (j, q)
 
     @pytest.mark.parametrize("masks, seeds", [
         ([np.ones(5, dtype=bool)], [1]),

@@ -234,7 +234,7 @@ class TestEvaluateAndPipeline:
         out = tmp_path / "run"
         artifacts = []
         for kernel, backend, workers in ((_hinge_sgd_py, "python", 1), (build[0], "compiled", 2)):
-            monkeypatch.setattr(classifier, "hinge_epoch_batch", kernel.hinge_epoch_batch)
+            monkeypatch.setattr(classifier, "hinge_train", kernel.hinge_train)
             monkeypatch.setattr(evaluation, "BACKEND", backend)
             shutil.rmtree(out, ignore_errors=True)
             assert run_cli(["pipeline", *_args(synth_file, out, "--threads", "2")]) == 0

@@ -257,7 +257,7 @@ class TestFoldThreads:
 
     @staticmethod
     def _use(monkeypatch, kernels, backend):
-        monkeypatch.setattr(classifier, "hinge_epoch_batch", kernels.hinge_epoch_batch)
+        monkeypatch.setattr(classifier, "hinge_train", kernels.hinge_train)
         monkeypatch.setattr(evaluation, "BACKEND", backend)
 
     @staticmethod

@@ -1,7 +1,7 @@
 """Backend kernels: availability, hand-checked arithmetic, input checks,
 pinned weight bytes, and bit-identical results between the compiled extension
-and the pure-Python twin, for ``hinge_epoch_batch`` (each backend's one SGD
-function) and ``hinge_epoch`` (one plane through it).
+and the pure-Python twin, for ``hinge_train`` (each backend's one SGD
+function) and ``hinge_epoch`` (one epoch of one plane through it).
 
 The compiled backend under test is the ``build`` fixture's: the repository's
 own ``setup.py`` built into a temporary directory, so the suite checks what an
@@ -32,16 +32,26 @@ from conftest import MISSING_TOOLCHAIN
 def backends(build):
     out = available_backends()
     if build[0] is not None:
-        out["compiled"] = partial(hinge_epoch, batch=build[0].hinge_epoch_batch)
+        out["compiled"] = partial(hinge_epoch, train=build[0].hinge_train)
     return out
 
 
 @pytest.fixture(scope="module")
-def batch_backends(build):
-    out = {"python": _hinge_sgd_py.hinge_epoch_batch}
+def train_backends(build):
+    out = {"python": _hinge_sgd_py.hinge_train}
     if build[0] is not None:
-        out["compiled"] = build[0].hinge_epoch_batch
+        out["compiled"] = build[0].hinge_train
     return out
+
+
+def _train(train, x, y, orders, mask, w, b, lam, t0, t):
+    """One ``train`` call over ``orders`` (epochs, planes, steps), with fresh
+    epoch-end buffers; returns the new step counter, ``w_epochs`` and
+    ``b_epochs``."""
+    w_epochs = np.full((len(orders),) + w.shape, np.nan)
+    b_epochs = np.full((len(orders), len(b)), np.nan)
+    t = train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t)
+    return t, w_epochs, b_epochs
 
 
 def test_python_backend_always_present(backends):
@@ -153,16 +163,16 @@ def test_compiled_rejects_bad_buffers(backends, bad):
         backends["compiled"](args["x"], args["y"], args["order"], args["w"], 0.0, 1.0, 1.0, 0)
 
 
-def test_compiled_kernel_on_fold_threads(batch_backends, monkeypatch):
+def test_compiled_kernel_on_fold_threads(train_backends, monkeypatch):
     # The compiled kernel releases the GIL, so evaluate's fold pool runs it
     # concurrently (the twin runs its folds one at a time); the report must
     # not depend on backend or thread count.
-    if "compiled" not in batch_backends:
+    if "compiled" not in train_backends:
         pytest.skip("compiled backend not built")
     records = parse_kdd(make_kdd_csv(400, seed=7))
     reports = []
     for name in ("python", "compiled"):
-        monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
+        monkeypatch.setattr(classifier, "hinge_train", train_backends[name])
         monkeypatch.setattr(evaluation, "BACKEND", name)
         for threads in (1, 2):
             with warnings.catch_warnings():
@@ -198,24 +208,34 @@ def _batch_problem(seed, rows, features, planes):
 FULL_BETWEEN_PARTIALS = np.array([[0, 1, 1, 0, 1, 0], [1] * 6, [1, 1, 1, 0, 0, 0]], dtype=bool).T.copy()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("shape, masks", [
-    ((60, 5, 4), None),
-    ((90, 41, 7), None),
-    ((35, 41, 1), None),
-    ((50, 5, 4), np.ones((5, 4), dtype=bool)),
-    ((50, 6, 3), FULL_BETWEEN_PARTIALS),
-], ids=["60x5x4", "90x41x7", "one-plane", "full-width", "full-between-partials"])
-def test_batch_matches_per_plane(backends, batch_backends, seed, shape, masks):
-    # Each plane of the batch must equal hinge_epoch on its projected
-    # columns, on every backend, byte for byte; unselected weights stay +0.0.
-    rows, features, planes = shape
+LAYOUTS = {
+    "60x5x4": ((60, 5, 4), None),
+    "90x41x7": ((90, 41, 7), None),
+    "one-plane": ((35, 41, 1), None),
+    "full-width": ((50, 5, 4), np.ones((5, 4), dtype=bool)),
+    "full-between-partials": ((50, 6, 3), FULL_BETWEEN_PARTIALS),
+}
+
+
+def _layout(name, seed):
+    """Rows, labels, mask and seeded orders of three epochs for a layout."""
+    (rows, features, planes), masks = LAYOUTS[name]
     x, y, mask = _batch_problem(seed, rows, features, planes)
     if masks is not None:
         mask = masks
-    lam, t0 = 1.0 / rows, float(rows)
     rng = np.random.default_rng(seed)
-    orders = [np.stack([rng.permutation(rows) for _ in range(planes)]) for _ in range(3)]
+    orders = np.stack([np.stack([rng.permutation(rows) for _ in range(planes)]) for _ in range(3)])
+    return x, y, mask, orders
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_batch_matches_per_plane(backends, train_backends, seed, layout):
+    # Each plane of the batch must equal hinge_epoch on its projected
+    # columns, on every backend, byte for byte; unselected weights stay +0.0.
+    x, y, mask, orders = _layout(layout, seed)
+    rows, (features, planes) = len(x), mask.shape
+    lam, t0 = 1.0 / rows, float(rows)
     expected = {}
     for name, epoch in backends.items():
         for p in range(planes):
@@ -225,38 +245,100 @@ def test_batch_matches_per_plane(backends, batch_backends, seed, shape, masks):
             for order in orders:
                 b, t = epoch(xp, y[p], np.ascontiguousarray(order[p]), w, b, lam, t0, t)
             expected[name, p] = (w.tobytes(), b, t)
-    for name, batch in batch_backends.items():
+    for name, train in train_backends.items():
         w = np.zeros((features, planes))
         b = np.zeros(planes)
-        t = 5
-        for order in orders:
-            t = batch(x, y, order, mask, w, b, lam, t0, t)
+        t, _, _ = _train(train, x, y, orders, mask, w, b, lam, t0, 5)
         for p in range(planes):
             for per_plane in backends:
                 assert (w[mask[:, p], p].tobytes(), b[p], t) == expected[per_plane, p], (name, p)
         assert w[~mask].tobytes() == np.zeros(int((~mask).sum())).tobytes()
 
 
-@pytest.mark.parametrize("planes", [1, 2])
-def test_batch_dot_product_is_sequential(backends, batch_backends, planes):
-    # Summed in feature order, 1 + 40 * (-2**-54) stays 1.0 (each tie rounds
-    # to even), so the margin is exactly 1 and the step only shrinks w; a
-    # pairwise or blocked sum reaches 1 - 40 * 2**-54 and takes a hinge step.
-    x = np.array([[1.0] + [-(2.0**-54)] * 40])
+@pytest.mark.parametrize("layout", ["60x5x4", "full-width", "full-between-partials"])
+def test_train_matches_chained_epochs(train_backends, layout):
+    # One call over three epochs equals three chained one-epoch calls, bit
+    # for bit: every epoch-end iterate, the final w and b, and the step
+    # counter, on every backend and both of the twin's paths.
+    x, y, mask, orders = _layout(layout, 3)
+    lam, t0 = 1.0 / len(x), 7.0
+    for name, train in train_backends.items():
+        w, b = np.zeros(mask.shape), np.zeros(mask.shape[1])
+        t, w_epochs, b_epochs = _train(train, x, y, orders, mask, w, b, lam, t0, 5)
+        chained_w, chained_b, chained_t = np.zeros(mask.shape), np.zeros(mask.shape[1]), 5
+        for e, order in enumerate(orders):
+            chained_t, w_e, b_e = _train(train, x, y, order[None], mask, chained_w, chained_b,
+                                         lam, t0, chained_t)
+            assert w_e.tobytes() == w_epochs[e].tobytes() and b_e.tobytes() == b_epochs[e].tobytes(), (name, e)
+        assert t == chained_t == 5 + 3 * len(x)
+        assert w.tobytes() == chained_w.tobytes() == w_epochs[-1].tobytes(), name
+        assert b.tobytes() == chained_b.tobytes() == b_epochs[-1].tobytes(), name
+
+
+# Summed in feature order, 1 + 40 * (-2**-54) stays 1.0 (each tie rounds to
+# even); numpy's pairwise sum, like any blocked one, reaches 1 - 40 * 2**-54.
+TIES = [1.0] + [-(2.0**-54)] * 40
+
+
+def _sequential_step(x, w, b, y, lam, t0):
+    """The first SGD step on the row ``x`` (lists), written out by hand, with
+    the dot product summed in feature order; returns the new w and b."""
+    eta = 1.0 / (lam * (t0 + 1))
+    factor = 1.0 - eta * lam
+    acc = 0.0
+    for wk, xk in zip(w, x):
+        acc += wk * xk
+    if y * (acc - b) < 1.0:
+        step = eta * y
+        return [factor * wk + step * xk for wk, xk in zip(w, x)], b - step
+    return [factor * wk for wk in w], b
+
+
+@pytest.mark.parametrize("planes", [1, 2, 5])
+def test_batch_dot_product_is_sequential(backends, train_backends, planes):
+    # With w = 1 and y = +1 the margin summed in feature order is exactly 1,
+    # so the step only shrinks w; summed pairwise it is below 1 and the step
+    # is a hinge step. Every path is compared with a hand-written step: the
+    # one-plane epoch, planes on every column (the twin's list loop) and
+    # planes that leave out a 42nd column (C's column copy; on the twin, the
+    # lockstep step from two planes on and its one-plane guard below).
+    assert float(np.sum(TIES)) != 1.0  # the input tells the two sums apart
     for epoch in backends.values():
         w = np.ones(41)
-        assert epoch(x, np.ones(1), np.zeros(1, dtype=np.int64), w, 0.0, 1.0, 1.0, 0) == (0.0, 1)
+        assert epoch(np.array([TIES]), np.ones(1), np.zeros(1, dtype=np.int64), w, 0.0, 1.0, 1.0, 0) == (0.0, 1)
         assert (w == 0.5).all()
-    # A 42nd column no plane selects keeps the batch off the one-plane-at-a-
-    # time path, on the twin's vectorized step and on C's column copy.
-    x = np.append(x, [[3.0]], axis=1)
-    for batch in batch_backends.values():
-        mask = np.ones((42, planes), dtype=bool)
-        mask[41] = False
-        w, b = np.where(mask, 1.0, 0.0), np.zeros(planes)
-        order = np.zeros((planes, 1), dtype=np.int64)
-        assert batch(x, np.ones((planes, 1)), order, mask, w, b, 1.0, 1.0, 0) == 1
-        assert (w[:41] == 0.5).all() and not w[41].any() and not b.any()
+    y = np.where(np.arange(planes) % 2 == 0, 1.0, -1.0)[:, None]
+    for row in (TIES, TIES + [3.0]):
+        x = np.array([row])
+        mask = np.ones((len(row), planes), dtype=bool)
+        mask[41:] = False
+        expected = [_sequential_step(TIES, [1.0] * 41, 0.0, float(y[p, 0]), 1.0, 1.0)
+                    for p in range(planes)]
+        for name, train in train_backends.items():
+            w, b = np.where(mask, 1.0, 0.0), np.zeros(planes)
+            orders = np.zeros((1, planes, 1), dtype=np.int64)
+            assert _train(train, x, y, orders, mask, w, b, 1.0, 1.0, 0)[0] == 1
+            for p, (w_p, b_p) in enumerate(expected):
+                assert w[:41, p].tobytes() == np.array(w_p).tobytes() and b[p] == b_p, (name, p)
+            assert w[41:].tobytes() == np.zeros(w[41:].shape).tobytes()
+
+
+def test_unselected_weights_stay_positive_zero(train_backends):
+    # At step_offset 0 the first step has eta * lam = 1 up to rounding, so
+    # its factor 1 - eta * lam is 0 or just above. The twin's lockstep step
+    # shrinks unselected weights too, so they must stay +0.0 byte for byte
+    # (a negative factor would turn them into -0.0), in w and in every
+    # epoch-end iterate, as in C, which leaves them alone.
+    for c, rows in ((1.0, 3), (1.0, 49), (0.3, 70), (7.0, 11), (1e-3, 997)):
+        x, y, mask = _batch_problem(rows, rows, 6, 4)
+        mask[5] = False
+        orders = np.stack([np.stack([np.random.default_rng(e).permutation(rows)] * 4) for e in range(2)])
+        for name, train in train_backends.items():
+            w, b = np.zeros(mask.shape), np.zeros(4)
+            _, w_epochs, _ = _train(train, x, y, orders, mask, w, b, 1.0 / (c * rows), 0.0, 0)
+            zeros = np.zeros(int((~mask).sum())).tobytes()
+            assert w[~mask].tobytes() == zeros, (name, c, rows)
+            assert all(w_e[~mask].tobytes() == zeros for w_e in w_epochs), (name, c, rows)
 
 
 # sha256 of w.tobytes() + b.tobytes() after test_weight_bytes_pinned's three
@@ -264,7 +346,7 @@ def test_batch_dot_product_is_sequential(backends, batch_backends, planes):
 PINNED_WEIGHTS = "5693d6730553ed2f2c7a448b6a8e632e0416d5b3115aae1bc4228d2ccd3c70a0"
 
 
-def test_weight_bytes_pinned(batch_backends):
+def test_weight_bytes_pinned(train_backends):
     # Three epochs of a fixed batch on every backend: negative and zero
     # features, planes 0 and 1 on one mask, plane 2 on every column and
     # plane 3 on a partial mask after it. No artifact holds a weight, so a
@@ -275,79 +357,105 @@ def test_weight_bytes_pinned(batch_backends):
     y = np.where(rng.random((4, 40)) < 0.5, -1.0, 1.0)
     mask = np.array([[1, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 0],
                      [1, 1, 1, 1], [0, 0, 1, 0], [1, 1, 1, 1]], dtype=bool)
-    orders = [np.stack([rng.permutation(40) for _ in range(4)]) for _ in range(3)]
-    for name, batch in batch_backends.items():
-        w, b, t = np.zeros(mask.shape), np.zeros(4), 0
-        for order in orders:
-            t = batch(x, y, order, mask, w, b, 1.0 / 40, 40.0, t)
+    orders = np.stack([np.stack([rng.permutation(40) for _ in range(4)]) for _ in range(3)])
+    for name, train in train_backends.items():
+        w, b = np.zeros(mask.shape), np.zeros(4)
+        t, _, _ = _train(train, x, y, orders, mask, w, b, 1.0 / 40, 40.0, 0)
         assert t == 120
         assert hashlib.sha256(w.tobytes() + b.tobytes()).hexdigest() == PINNED_WEIGHTS, name
 
 
 def _batch_args(rows=4, features=3, planes=2):
     x, y, mask = _batch_problem(0, rows, features, planes)
-    return {"x": x, "y": y, "order": np.tile(np.arange(rows), (planes, 1)),
-            "mask": mask, "w": np.zeros((features, planes)), "b": np.zeros(planes)}
+    mask[2] = False
+    return {"x": x, "y": y, "orders": np.tile(np.arange(rows), (1, planes, 1)),
+            "mask": mask, "w": np.zeros((features, planes)), "b": np.zeros(planes),
+            "w_epochs": np.zeros((1, features, planes)), "b_epochs": np.zeros((1, planes))}
 
 
-def _call_batch(batch, a):
-    return batch(a["x"], a["y"], a["order"], a["mask"], a["w"], a["b"], 1.0, 1.0, 0)
+def _call_batch(train, a):
+    return train(a["x"], a["y"], a["orders"], a["mask"], a["w"], a["b"], a["w_epochs"],
+                 a["b_epochs"], 1.0, 1.0, 0)
 
 
-def test_batch_out_of_range_order_entry_raises(batch_backends):
-    for batch in batch_backends.values():
+def _untouched(a):
+    return not (a["w"].any() or a["b"].any() or a["w_epochs"].any() or a["b_epochs"].any())
+
+
+def test_batch_out_of_range_order_entry_raises(train_backends):
+    for train in train_backends.values():
         for bad in (4, -1):
             a = _batch_args()
-            a["order"][1, 2] = bad
+            a["orders"][0, 1, 2] = bad
             with pytest.raises(IndexError):
-                _call_batch(batch, a)
-            assert not a["w"].any() and not a["b"].any()  # rejected before any update
+                _call_batch(train, a)
+            assert _untouched(a)  # rejected before any update
 
 
 @pytest.mark.parametrize("bad", [
     {"y": np.ones((2, 3))},
     {"y": np.ones((3, 4))},
-    {"order": np.zeros((3, 4), dtype=np.int64)},
+    {"orders": np.zeros((1, 3, 4), dtype=np.int64)},
     {"mask": np.ones((4, 2), dtype=bool)},
     {"w": np.zeros((3, 3))},
     {"b": np.zeros(3)},
-], ids=["y-rows", "y-planes", "order-planes", "mask-features", "w-planes", "b-planes"])
-def test_batch_shape_mismatch_raises(batch_backends, bad):
-    for batch in batch_backends.values():
+    {"w_epochs": np.zeros((2, 3, 2))},
+    {"b_epochs": np.zeros((1, 3))},
+], ids=["y-rows", "y-planes", "order-planes", "mask-features", "w-planes", "b-planes",
+        "w_epochs-epochs", "b_epochs-planes"])
+def test_batch_shape_mismatch_raises(train_backends, bad):
+    for train in train_backends.values():
         a = _batch_args()
         a.update({k: v.copy() for k, v in bad.items()})
         with pytest.raises(ValueError):
-            _call_batch(batch, a)
-        assert not a["w"].any() and not a["b"].any()
+            _call_batch(train, a)
+        assert _untouched(a)
+
+
+@pytest.mark.parametrize("value", [1.0, -5e-324, np.nan])
+def test_nonzero_weight_outside_mask_raises(train_backends, value):
+    # The twin shrinks unselected weights along with the rest, which keeps
+    # them only because they are zero; so both backends refuse any other
+    # value there, before any update.
+    for train in train_backends.values():
+        a = _batch_args()
+        a["w"][2, 1] = value
+        with pytest.raises(ValueError, match="outside the mask"):
+            _call_batch(train, a)
+        a["w"][2, 1] = 0.0
+        assert _untouched(a)
 
 
 @pytest.mark.parametrize("bad", [
     {"mask": np.ones((3, 2), dtype=np.uint8)},
     {"x": np.ones((4, 3), dtype=np.float32)},
-    {"order": np.zeros((2, 4), dtype=np.int32)},
+    {"orders": np.zeros((1, 2, 4), dtype=np.int32)},
     {"w": _readonly(np.zeros((3, 2)))},
     {"b": _readonly(np.zeros(2))},
-], ids=["mask-uint8", "x-float32", "order-int32", "w-readonly", "b-readonly"])
-def test_compiled_batch_rejects_bad_buffers(batch_backends, bad):
-    if "compiled" not in batch_backends:
+    {"w_epochs": _readonly(np.zeros((1, 3, 2)))},
+    {"orders": np.zeros((2, 4), dtype=np.int64)},
+], ids=["mask-uint8", "x-float32", "order-int32", "w-readonly", "b-readonly",
+        "w_epochs-readonly", "orders-2d"])
+def test_compiled_batch_rejects_bad_buffers(train_backends, bad):
+    if "compiled" not in train_backends:
         pytest.skip("compiled backend not built")
     a = _batch_args()
     a.update(bad)
     with pytest.raises(ValueError):
-        _call_batch(batch_backends["compiled"], a)
+        _call_batch(train_backends["compiled"], a)
 
 
-def test_compiled_population(batch_backends, synth_dataset, monkeypatch):
+def test_compiled_population(train_backends, synth_dataset, monkeypatch):
     # One WrapperObjective population trained by the compiled batched
     # kernel scores, traces and counts exactly like the twin.
-    if "compiled" not in batch_backends:
+    if "compiled" not in train_backends:
         pytest.skip("compiled backend not built")
     rng = np.random.default_rng(4)
     masks = list(rng.random((8, 41)) < 0.5)
     masks.append(masks[2].copy())
     results = []
     for name in ("python", "compiled"):
-        monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
+        monkeypatch.setattr(classifier, "hinge_train", train_backends[name])
         trace = io.StringIO()
         objective = WrapperObjective(synth_dataset, run_seed=2, svm_config=classifier.SvmConfig(),
                                      fitness_epochs=3, trace=trace)
@@ -356,7 +464,7 @@ def test_compiled_population(batch_backends, synth_dataset, monkeypatch):
     assert results[0][2] == 8
 
 
-def test_train_ova_on_every_backend(batch_backends, monkeypatch):
+def test_train_ova_on_every_backend(train_backends, monkeypatch):
     # Each mask trained alone (every plane selects every projected column)
     # equals the same mask trained inside a several-mask call (partial
     # masks), bit for bit, on every backend, with negative features and a
@@ -372,14 +480,14 @@ def test_train_ova_on_every_backend(batch_backends, monkeypatch):
     for step_offset in (None, 0.0, 7.0):
         config = classifier.SvmConfig(epochs=3, step_offset=step_offset)
         runs = []
-        for name in batch_backends:
-            monkeypatch.setattr(classifier, "hinge_epoch_batch", batch_backends[name])
+        for name in train_backends:
+            monkeypatch.setattr(classifier, "hinge_train", train_backends[name])
             alone = [classifier.train_ova(ds, config, [m], [s])[0] for s, m in enumerate(masks)]
             for models in (classifier.train_ova(ds, config, masks, range(5)), alone):
                 assert all(np.array_equal(model.mask, m) for model, m in zip(models, masks))
                 runs.append([[None if p is None else (p.w.tobytes(), p.b) for p in model.planes]
                              for model in models])
-        assert len(runs) == 2 * len(batch_backends) and all(run == runs[0] for run in runs)
+        assert len(runs) == 2 * len(train_backends) and all(run == runs[0] for run in runs)
         assert all(model[3] is None for model in runs[0])
         first_runs.append(runs[0])
     assert first_runs[0] != first_runs[2]  # the step offset reaches the kernel

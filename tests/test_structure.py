@@ -1,12 +1,17 @@
 """Package structure, read from the source with ``ast``: the internal
 import graph has no cycle, no module reads the environment, the class
 list lives only in ``dataset.CLASS_NAMES``, and the classifier calls no
-BLAS."""
+BLAS. Also the kernel interface: one SGD function per backend, and the
+names the benchmark patches or calls."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import swarmids
+from swarmids import classifier
+from swarmids._kernels import _hinge_sgd_py, available_backends
 
 PACKAGE = Path(swarmids.__file__).resolve().parent
 
@@ -155,3 +160,24 @@ def test_classifier_calls_no_blas():
     path = _modules()["swarmids.classifier"]
     found = _blas_uses(ast.parse(path.read_text(encoding="utf-8")))
     assert not found, f"BLAS in classifier.py at lines {found}"
+
+
+def _public_callables(module) -> list[str]:
+    return sorted(name for name, value in vars(module).items()
+                  if callable(value) and not name.startswith("_"))
+
+
+def test_each_backend_exports_one_sgd_function(build):
+    backends = [_hinge_sgd_py] + [build[0]] * (build[0] is not None)
+    assert all(_public_callables(module) == ["hinge_train"] for module in backends)
+
+
+def test_benchmark_names_still_resolve():
+    # perfbench/spans.py patches classifier.hinge_epoch and hinge_objective,
+    # and perfbench/kernels.py runs available_backends()'s callables as
+    # epoch(x, y, order, w, b, lam, t0, t) -> (b, t).
+    assert callable(classifier.hinge_epoch) and callable(classifier.hinge_objective)
+    for epoch in available_backends().values():
+        w = np.zeros(2)
+        b, t = epoch(np.eye(2), np.array([1.0, -1.0]), np.arange(2), w, 0.0, 0.5, 2.0, 0)
+        assert isinstance(b, float) and t == 2 and w.any()
