@@ -1,9 +1,11 @@
 """Build script: compiles the hot SGD kernel unless SWARMIDS_SKIP_EXT=1.
 
-The kernel is a hand-written CPython extension built with the system C
-compiler; a failed compile fails the build. The package works without the
-extension (a pure-Python twin is selected at import time), it is just much
-slower on large training sets.
+The kernel is a plain C library (no Python headers; ``swarmids._kernels``
+loads it with ctypes) built with the system C compiler as
+``_hinge_sgd`` + the interpreter's extension suffix; a failed compile fails
+the build. ``python setup.py build_ext --inplace`` builds it into a source
+checkout. The package works without it (a pure-Python twin is selected at
+import time), it is just much slower on large training sets.
 """
 
 import os

@@ -1,13 +1,56 @@
-"""Pure-Python twin of the compiled SGD kernel.
+"""Pure-Python twin of the compiled SGD kernel, and the argument check
+that both backends run.
 
-Same operations in the same order as the C extension ``_hinge_sgd.c``
+Same operations in the same order as the C library ``_hinge_sgd.c``
 (CPython floats and numpy float64 arithmetic round like C doubles), so
-results are bit-identical to it, just slower. It rejects the same
-mismatched shapes, out-of-range ``orders`` entries and nonzero weights
-outside the mask, before ``w`` changes.
+results are bit-identical to it, just slower. ``_check`` rejects wrong
+dtypes, dimensions and layouts, read-only outputs, mismatched shapes,
+out-of-range ``orders`` entries and nonzero weights outside the mask,
+before either backend writes anything.
 """
 
 import numpy as np
+
+# (name, dtype, ndim) of each array argument, in order; the last four are
+# written.
+_ARGS = (
+    ("x", np.float64, 2), ("y", np.float64, 2), ("orders", np.int64, 3), ("mask", np.bool_, 2),
+    ("w", np.float64, 2), ("b", np.float64, 1), ("w_epochs", np.float64, 3), ("b_epochs", np.float64, 2),
+)
+
+
+def _check(x, y, orders, mask, w, b, w_epochs, b_epochs):
+    """Raise unless ``hinge_train``'s arguments suit both backends: each a
+    C-contiguous array of its dtype and dimension, the outputs writable
+    (``ValueError``), shapes that agree (``ValueError``), ``orders``
+    entries in ``[0, rows)`` (``IndexError``) and zero weights outside the
+    mask (``ValueError``)."""
+    arrays = (x, y, orders, mask, w, b, w_epochs, b_epochs)
+    for i, ((name, dtype, ndim), a) in enumerate(zip(_ARGS, arrays)):
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
+                and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous {ndim}-d {np.dtype(dtype)} array, got "
+                             f"{getattr(a, 'dtype', type(a).__name__)} with shape {np.shape(a)}")
+        if i >= 4 and not a.flags.writeable:
+            raise ValueError(f"{name} must be writable")
+    n, features = x.shape
+    epochs, planes, steps = orders.shape
+    if y.shape != (planes, n):
+        raise ValueError(f"y has shape {y.shape} but orders and x need ({planes}, {n})")
+    if mask.shape != (features, planes) or w.shape != (features, planes) or b.shape != (planes,):
+        raise ValueError(
+            f"mask {mask.shape}, w {w.shape} and b {b.shape} must be "
+            f"({features}, {planes}), ({features}, {planes}) and ({planes},)"
+        )
+    if w_epochs.shape != (epochs, features, planes) or b_epochs.shape != (epochs, planes):
+        raise ValueError(
+            f"w_epochs {w_epochs.shape} and b_epochs {b_epochs.shape} must be "
+            f"({epochs}, {features}, {planes}) and ({epochs}, {planes})"
+        )
+    if orders.size and not (0 <= orders.min() and orders.max() < n):
+        raise IndexError(f"orders has an entry outside [0, {n})")
+    if w[~mask].any():
+        raise ValueError("w has a nonzero weight outside the mask")
 
 
 def _sgd_steps(rows, order, ys, steps, factors, ws, b):
@@ -111,26 +154,11 @@ def hinge_train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t):
     One plane, or planes that all select every column, train one at a
     time through ``_sgd_steps`` on Python lists. Otherwise all planes take
     each step together with numpy (``_train_lockstep``), which one plane
-    must never reach: numpy would sum its dot product pairwise.
+    must never reach: numpy would sum its dot product pairwise. Bad
+    arguments raise (``_check``) before anything is written.
     """
-    n, features = x.shape
+    _check(x, y, orders, mask, w, b, w_epochs, b_epochs)
     epochs, planes, steps = orders.shape
-    if y.shape != (planes, n):
-        raise ValueError(f"y has shape {y.shape} but orders and x need ({planes}, {n})")
-    if mask.shape != (features, planes) or w.shape != (features, planes) or b.shape != (planes,):
-        raise ValueError(
-            f"mask {mask.shape}, w {w.shape} and b {b.shape} must be "
-            f"({features}, {planes}), ({features}, {planes}) and ({planes},)"
-        )
-    if w_epochs.shape != (epochs, features, planes) or b_epochs.shape != (epochs, planes):
-        raise ValueError(
-            f"w_epochs {w_epochs.shape} and b_epochs {b_epochs.shape} must be "
-            f"({epochs}, {features}, {planes}) and ({epochs}, {planes})"
-        )
-    if orders.size and not (0 <= orders.min() and orders.max() < n):
-        raise IndexError(f"orders has an entry outside [0, {n})")
-    if w[~mask].any():
-        raise ValueError("w has a nonzero weight outside the mask")
     # eta = 1/(lam*(t0+t')) and factor = 1 - eta*lam for the steps t' of
     # every epoch, shared by all planes.
     eta = 1.0 / (lam * (t0 + np.arange(t + 1, t + 1 + epochs * steps).astype(np.float64)))

@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import shutil
 import subprocess
@@ -8,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from swarmids._kernels import _LIBRARY, load_compiled
 from swarmids.dataset import (
     apply_normalize, encode, fit_encoding, fit_normalize, parse_kdd, to_columns,
 )
@@ -19,13 +19,11 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def _missing_toolchain():
-    """What building the extension needs and this machine lacks, or None."""
+    """The C compiler, if building the kernel library needs it and this
+    machine lacks it, or None."""
     cc = (sysconfig.get_config_var("CC") or "").split()
     if not cc or shutil.which(cc[0]) is None:
         return f"C compiler {' '.join(cc)!r} not found"
-    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if not header.is_file():
-        return f"{header} not found"
     return None
 
 
@@ -34,15 +32,16 @@ MISSING_TOOLCHAIN = _missing_toolchain()
 
 @pytest.fixture(scope="session")
 def build(tmp_path_factory):
-    """Run ``setup.py build_ext`` into a temp dir and load the result by path.
+    """Run ``setup.py build_ext`` into a temp dir and bind the library it
+    built with the package's own ``_kernels.load_compiled``.
 
     The build adds ``-Wall -Werror``, so a compiler warning (an unused
-    function or variable) fails it. Returns ``(module or None, build
-    output)``; a failed build is reported by
+    function or variable) fails it. Returns ``(hinge_train or None, build
+    output, library path or None)``; a failed build is reported by
     ``test_kernels.py::test_compiled_backend_built``.
     """
     if MISSING_TOOLCHAIN:
-        return None, MISSING_TOOLCHAIN
+        return None, MISSING_TOOLCHAIN, None
     tmp = tmp_path_factory.mktemp("build_ext")
     env = {k: v for k, v in os.environ.items() if k != "SWARMIDS_SKIP_EXT"}
     env["CFLAGS"] = f"{env.get('CFLAGS', '')} -Wall -Werror".strip()
@@ -52,16 +51,13 @@ def build(tmp_path_factory):
         cwd=REPO, env=env, capture_output=True, text=True,
     )
     log = proc.stdout + proc.stderr
-    built = sorted((tmp / "lib" / "swarmids" / "_kernels").glob("_hinge_sgd.*"))
-    if proc.returncode != 0 or not built:
-        return None, log
-    spec = importlib.util.spec_from_file_location("swarmids._kernels._hinge_sgd", built[0])
-    module = importlib.util.module_from_spec(spec)
+    path = tmp / "lib" / "swarmids" / "_kernels" / _LIBRARY.name  # where the package looks
+    if proc.returncode != 0 or not path.is_file():
+        return None, log, None
     try:
-        spec.loader.exec_module(module)
+        return load_compiled(path), log, path
     except ImportError as exc:
-        return None, f"{log}\n{exc!r}"
-    return module, log
+        return None, f"{log}\n{exc!r}", None
 
 
 def nsl_kdd_train_path() -> Path | None:

@@ -52,10 +52,10 @@ def corpus() -> str:
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
 def test_pipeline_artifacts_pinned(tmp_path, monkeypatch, build, corpus, backend):
-    kernels = _hinge_sgd_py if backend == "python" else build[0]
-    if kernels is None:
+    train = _hinge_sgd_py.hinge_train if backend == "python" else build[0]
+    if train is None:
         pytest.skip("compiled backend not built")
-    monkeypatch.setattr(classifier, "hinge_train", kernels.hinge_train)
+    monkeypatch.setattr(classifier, "hinge_train", train)
     monkeypatch.setattr(evaluation, "BACKEND", backend)  # the fold pool width follows the kernel
     (tmp_path / "corpus.csv").write_text(corpus, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # a relative --data, so the config digest is fixed

@@ -233,8 +233,8 @@ class TestEvaluateAndPipeline:
             pytest.skip("compiled backend not built")
         out = tmp_path / "run"
         artifacts = []
-        for kernel, backend, workers in ((_hinge_sgd_py, "python", 1), (build[0], "compiled", 2)):
-            monkeypatch.setattr(classifier, "hinge_train", kernel.hinge_train)
+        for train, backend, workers in ((_hinge_sgd_py.hinge_train, "python", 1), (build[0], "compiled", 2)):
+            monkeypatch.setattr(classifier, "hinge_train", train)
             monkeypatch.setattr(evaluation, "BACKEND", backend)
             shutil.rmtree(out, ignore_errors=True)
             assert run_cli(["pipeline", *_args(synth_file, out, "--threads", "2")]) == 0

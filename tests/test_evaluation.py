@@ -256,8 +256,8 @@ class TestFoldThreads:
         assert fold_workers(threads, k) == workers
 
     @staticmethod
-    def _use(monkeypatch, kernels, backend):
-        monkeypatch.setattr(classifier, "hinge_train", kernels.hinge_train)
+    def _use(monkeypatch, train, backend):
+        monkeypatch.setattr(classifier, "hinge_train", train)
         monkeypatch.setattr(evaluation, "BACKEND", backend)
 
     @staticmethod
@@ -280,7 +280,7 @@ class TestFoldThreads:
         return dict(seen)
 
     def test_twin_folds_run_on_one_thread(self, synth_records, monkeypatch):
-        self._use(monkeypatch, _hinge_sgd_py, "python")
+        self._use(monkeypatch, _hinge_sgd_py.hinge_train, "python")
         seen = self._fold_threads(synth_records, threads=3)
         assert sorted(seen) == [0, 1, 2]
         assert len(set().union(*seen.values())) == 1

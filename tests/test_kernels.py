@@ -1,23 +1,25 @@
 """Backend kernels: availability, hand-checked arithmetic, input checks,
-pinned weight bytes, and bit-identical results between the compiled extension
+pinned weight bytes, and bit-identical results between the compiled library
 and the pure-Python twin, for ``hinge_train`` (each backend's one SGD
 function) and ``hinge_epoch`` (one epoch of one plane through it).
 
 The compiled backend under test is the ``build`` fixture's: the repository's
-own ``setup.py`` built into a temporary directory, so the suite checks what an
-install builds, without a prior build step and without writing into ``src/``.
+own ``setup.py`` built into a temporary directory and bound by the package's
+own ``load_compiled``, so the suite checks what an install builds and loads,
+without a prior build step and without writing into ``src/``.
 """
 
 import hashlib
 import io
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swarmids import classifier, evaluation
-from swarmids._kernels import _hinge_sgd_py, available_backends, hinge_epoch
+from swarmids._kernels import _hinge_sgd_py, available_backends, hinge_epoch, load_compiled
 from swarmids.dataset import Dataset, parse_kdd
 from swarmids.errors import DataWarning
 from swarmids.evaluation import cross_validate, report_to_json
@@ -32,7 +34,7 @@ from conftest import MISSING_TOOLCHAIN
 def backends(build):
     out = available_backends()
     if build[0] is not None:
-        out["compiled"] = partial(hinge_epoch, train=build[0].hinge_train)
+        out["compiled"] = partial(hinge_epoch, train=build[0])
     return out
 
 
@@ -40,7 +42,7 @@ def backends(build):
 def train_backends(build):
     out = {"python": _hinge_sgd_py.hinge_train}
     if build[0] is not None:
-        out["compiled"] = build[0].hinge_train
+        out["compiled"] = build[0]
     return out
 
 
@@ -58,9 +60,18 @@ def test_python_backend_always_present(backends):
     assert "python" in backends
 
 
-@pytest.mark.skipif(MISSING_TOOLCHAIN is not None, reason=f"cannot build the extension: {MISSING_TOOLCHAIN}")
+@pytest.mark.skipif(MISSING_TOOLCHAIN is not None, reason=f"cannot build the kernel library: {MISSING_TOOLCHAIN}")
 def test_compiled_backend_built(backends, build):
-    assert "compiled" in backends, f"setup.py build_ext failed to build the extension:\n{build[1]}"
+    assert "compiled" in backends, f"setup.py build_ext failed to build the kernel library:\n{build[1]}"
+
+
+def test_library_without_symbol_fails_to_load():
+    # A shared library that lacks hinge_train, like a stale in-place build
+    # at the kernel's path, fails the import and says how to rebuild.
+    path = next(Path(np.__file__).parent.glob("*/_multiarray_umath.*"))
+    with pytest.raises(ImportError) as info:
+        load_compiled(path)
+    assert str(path) in str(info.value) and "python setup.py build_ext --inplace" in str(info.value)
 
 
 def test_single_step_hand_arithmetic(backends):
@@ -137,30 +148,6 @@ def test_shape_mismatch_raises(backends):
             epoch(x, y, order, np.zeros(3), 0.0, 1.0, 1.0, 0)
         with pytest.raises(ValueError):  # fewer labels than rows
             epoch(x, y[:2], order[:2], np.zeros(2), 0.0, 1.0, 1.0, 0)
-
-
-def _readonly(a):
-    a.flags.writeable = False
-    return a
-
-
-@pytest.mark.parametrize("bad", [
-    {"x": np.ones((3, 2), dtype=np.float32)},
-    {"x": np.ones(6)},
-    {"x": np.asfortranarray(np.ones((3, 2)))},
-    {"y": np.ones(6)[::2]},
-    {"order": np.arange(3, dtype=np.int32)},
-    {"order": np.arange(3, dtype=np.uint64)},
-    {"w": _readonly(np.zeros(2))},
-], ids=["x-float32", "x-1d", "x-fortran", "y-strided", "order-int32", "order-uint64", "w-readonly"])
-def test_compiled_rejects_bad_buffers(backends, bad):
-    if "compiled" not in backends:
-        pytest.skip("compiled backend not built")
-    args = {"x": np.ones((3, 2)), "y": np.array([1.0, -1.0, 1.0]),
-            "order": np.arange(3, dtype=np.int64), "w": np.zeros(2)}
-    args.update(bad)
-    with pytest.raises(ValueError):
-        backends["compiled"](args["x"], args["y"], args["order"], args["w"], 0.0, 1.0, 1.0, 0)
 
 
 def test_compiled_kernel_on_fold_threads(train_backends, monkeypatch):
@@ -426,23 +413,56 @@ def test_nonzero_weight_outside_mask_raises(train_backends, value):
         assert _untouched(a)
 
 
+def _readonly(a):
+    a.flags.writeable = False
+    return a
+
+
 @pytest.mark.parametrize("bad", [
-    {"mask": np.ones((3, 2), dtype=np.uint8)},
+    {"x": np.ones((3, 2), dtype=np.float32)},
+    {"x": np.ones(6)},
+    {"x": np.asfortranarray(np.ones((3, 2)))},
+    {"y": np.ones(6)[::2]},
+    {"order": np.arange(3, dtype=np.int32)},
+    {"order": np.arange(3, dtype=np.uint64)},
+    {"w": _readonly(np.zeros(2))},
+], ids=["x-float32", "x-1d", "x-fortran", "y-strided", "order-int32", "order-uint64", "w-readonly"])
+def test_compiled_rejects_bad_buffers(backends, bad):
+    # The one-plane ``hinge_epoch`` path hands its views to the compiled
+    # kernel, which refuses them.
+    if "compiled" not in backends:
+        pytest.skip("compiled backend not built")
+    args = {"x": np.ones((3, 2)), "y": np.array([1.0, -1.0, 1.0]),
+            "order": np.arange(3, dtype=np.int64), "w": np.zeros(2)}
+    args.update(bad)
+    with pytest.raises(ValueError):
+        backends["compiled"](args["x"], args["y"], args["order"], args["w"], 0.0, 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [
     {"x": np.ones((4, 3), dtype=np.float32)},
+    {"x": np.ones(12)},
+    {"x": np.asfortranarray(np.ones((4, 3)))},
+    {"y": np.ones((2, 8))[:, ::2]},
     {"orders": np.zeros((1, 2, 4), dtype=np.int32)},
+    {"orders": np.zeros((1, 2, 4), dtype=np.uint64)},
+    {"orders": np.zeros((2, 4), dtype=np.int64)},
+    {"mask": np.ones((3, 2), dtype=np.uint8)},
     {"w": _readonly(np.zeros((3, 2)))},
     {"b": _readonly(np.zeros(2))},
     {"w_epochs": _readonly(np.zeros((1, 3, 2)))},
-    {"orders": np.zeros((2, 4), dtype=np.int64)},
-], ids=["mask-uint8", "x-float32", "order-int32", "w-readonly", "b-readonly",
-        "w_epochs-readonly", "orders-2d"])
-def test_compiled_batch_rejects_bad_buffers(train_backends, bad):
-    if "compiled" not in train_backends:
-        pytest.skip("compiled backend not built")
-    a = _batch_args()
-    a.update(bad)
-    with pytest.raises(ValueError):
-        _call_batch(train_backends["compiled"], a)
+    {"b_epochs": _readonly(np.zeros((1, 2)))},
+], ids=["x-float32", "x-1d", "x-fortran", "y-strided", "order-int32", "order-uint64", "orders-2d",
+        "mask-uint8", "w-readonly", "b-readonly", "w_epochs-readonly", "b_epochs-readonly"])
+def test_rejects_bad_buffers(train_backends, bad):
+    # Every backend refuses a wrong dtype, dimension or layout and a
+    # read-only output, before any update.
+    for train in train_backends.values():
+        a = _batch_args()
+        a.update(bad)
+        with pytest.raises(ValueError):
+            _call_batch(train, a)
+        assert _untouched(a)
 
 
 def test_compiled_population(train_backends, synth_dataset, monkeypatch):

@@ -1,10 +1,12 @@
 """Package structure, read from the source with ``ast``: the internal
 import graph has no cycle, no module reads the environment, the class
 list lives only in ``dataset.CLASS_NAMES``, and the classifier calls no
-BLAS. Also the kernel interface: one SGD function per backend, and the
-names the benchmark patches or calls."""
+BLAS. Also the kernel interface: one SGD function per backend, a C
+kernel that is plain C, and the names the benchmark patches or calls."""
 
 import ast
+import ctypes
+import re
 from pathlib import Path
 
 import numpy as np
@@ -167,9 +169,29 @@ def _public_callables(module) -> list[str]:
                   if callable(value) and not name.startswith("_"))
 
 
+KERNEL_C = PACKAGE / "_kernels" / "_hinge_sgd.c"
+
+
+def _c_functions() -> list[tuple[str, str]]:
+    """(return-type line, name) of each function defined in the C kernel,
+    whose definitions put the name at the start of a line."""
+    return re.findall(r"^(.*)\n(\w+)\(", KERNEL_C.read_text(encoding="utf-8"), re.M)
+
+
 def test_each_backend_exports_one_sgd_function(build):
-    backends = [_hinge_sgd_py] + [build[0]] * (build[0] is not None)
-    assert all(_public_callables(module) == ["hinge_train"] for module in backends)
+    assert _public_callables(_hinge_sgd_py) == ["hinge_train"]
+    functions = _c_functions()
+    assert [name for kind, name in functions if not kind.startswith("static")] == ["hinge_train"]
+    if build[2] is not None:  # the library the build fixture bound
+        library = ctypes.CDLL(str(build[2]))
+        assert [name for _, name in functions if hasattr(library, name)] == ["hinge_train"]
+
+
+def test_c_kernel_is_plain_c():
+    # The library needs no Python headers: ctypes binds it, and the
+    # arguments are checked in Python.
+    includes = re.findall(r"^#include\s*(\S+)", KERNEL_C.read_text(encoding="utf-8"), re.M)
+    assert includes == ["<stddef.h>"], f"_hinge_sgd.c includes {includes}"
 
 
 def test_benchmark_names_still_resolve():
