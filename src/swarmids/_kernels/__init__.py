@@ -16,8 +16,8 @@ backend's ``hinge_train``.
 """
 
 import ctypes
-import sysconfig
 from functools import partial
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,9 @@ def load_compiled(path):
     return hinge_train
 
 
-_LIBRARY = Path(__file__).with_name("_hinge_sgd" + sysconfig.get_config_var("EXT_SUFFIX"))
+# The first extension suffix is the interpreter's own, the one setup.py
+# builds with (sysconfig's EXT_SUFFIX, which costs a module import).
+_LIBRARY = Path(__file__).with_name("_hinge_sgd" + EXTENSION_SUFFIXES[0])
 if _LIBRARY.exists():
     hinge_train = load_compiled(_LIBRARY)
     BACKEND = "compiled"

@@ -72,7 +72,7 @@ class RunConfig:
     epochs: int = 20
     step_offset: float = 0.0        # 0 = auto (ceil(C*N))
     fitness_epochs: int = 5
-    threads: int = 0                # evaluate's fold threads (compiled kernel only); 0 = nproc
+    threads: int = 0                # evaluate's fold worker processes; 0 = nproc
     plots: bool = True
 
     def __post_init__(self):
@@ -468,8 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _merge_config(args)
         if BACKEND == "python" and args.command != "prepare":
             print(
-                "note: SGD kernel backend 'python' (the pure-Python twin, much slower; "
-                "it holds the GIL, so evaluate's folds run one at a time); "
+                "note: SGD kernel backend 'python' (the pure-Python twin, much slower); "
                 'build the compiled kernel as README "Install" says',
                 file=sys.stderr,
             )

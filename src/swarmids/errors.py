@@ -1,8 +1,19 @@
 """Exception hierarchy shared across the package."""
 
+import copyreg
+
 
 class SwarmidsError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Errors pickle as their final message and attributes, not through
+    ``__init__`` (whose arguments some subclasses reshape), so one raised
+    in a fold's worker process reaches the caller with its type, text and
+    attributes unchanged.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(SwarmidsError):

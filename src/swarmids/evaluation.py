@@ -8,14 +8,14 @@ serialized reports carry a note recording this definition.
 from __future__ import annotations
 
 import json
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._kernels import BACKEND
 from .classifier import SvmConfig, predict, train_ova
 from .confusion import (
     ConfusionCounts,
@@ -200,18 +200,16 @@ def _run_fold(
     svm_config: SvmConfig,
     seed: int,
     fitness_epochs: int,
-    audit: AuditHook | None,
+    audit: AuditHook,
 ) -> FoldReport:
     started = time.perf_counter()
     fold_seed = derive_seed(seed, "fold", fold)
     train_rows = columns.take(train_idx)
     encoding = fit_encoding(train_rows, fitted_on=f"fold{fold}-train")
-    if audit is not None:
-        audit("encoding_fit", fold, train_idx)
+    audit("encoding_fit", fold, train_idx)
     train_raw = encode(train_rows, encoding)
     stats = fit_normalize(train_raw)
-    if audit is not None:
-        audit("normalize_fit", fold, train_idx)
+    audit("normalize_fit", fold, train_idx)
     train_ds = apply_normalize(train_raw, stats)
     test_ds = apply_normalize(encode(columns.take(test_idx), encoding), stats)
     del train_rows, train_raw  # free them before the search, the fold's longest part
@@ -222,19 +220,16 @@ def _run_fold(
         svm_config=svm_config,
         fitness_epochs=fitness_epochs,
     )
-    if audit is not None:
-        audit("fitness_train", fold, train_idx[objective.fit_idx])
-        audit("fitness_val", fold, train_idx[objective.val_idx])
+    audit("fitness_train", fold, train_idx[objective.fit_idx])
+    audit("fitness_val", fold, train_idx[objective.val_idx])
 
     goa = replace(goa_config, dim=train_ds.n_features, seed=derive_seed(fold_seed, "goa"))
     result = run(objective, goa)
 
     (model,) = train_ova(train_ds, svm_config, [result.best_mask], [derive_seed(fold_seed, "svm")])
-    if audit is not None:
-        audit("final_train", fold, train_idx)
+    audit("final_train", fold, train_idx)
     predictions = predict(model, test_ds.rows)
-    if audit is not None:
-        audit("test_predict", fold, test_idx)
+    audit("test_predict", fold, test_idx)
 
     return FoldReport(
         index=fold,
@@ -251,13 +246,40 @@ def _run_fold(
     )
 
 
+# Only ``fork`` starts workers without helper processes (``spawn`` and
+# ``forkserver`` leave a resource tracker or a server running after the
+# pool) and lets them inherit the folds' inputs instead of unpickling them.
+_FORK = hasattr(os, "fork")
+
+# A worker's fold inputs, set by ``_start_worker`` when it starts.
+_worker_inputs: tuple = ()
+
+
+def _start_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _fold_job(fold: int, inputs: tuple = ()) -> tuple[FoldReport, list]:
+    """Run fold ``fold`` on ``inputs`` (a worker's own by default); return
+    its report and its audit events in order."""
+    columns, folds, goa_config, svm_config, seed, fitness_epochs = inputs or _worker_inputs
+    train_idx, test_idx = folds[fold]
+    events: list = []
+    report = _run_fold(
+        fold, columns, train_idx, test_idx, goa_config, svm_config, seed, fitness_epochs,
+        lambda *event: events.append(event),
+    )
+    return report, events
+
+
 def fold_workers(threads: int, k: int) -> int:
-    """Threads that ``cross_validate`` runs ``k`` folds on: ``min(threads, k)``
-    on the compiled kernel, which releases the GIL, else 1, since fold
-    threads that hold it only take turns."""
+    """Processes that ``cross_validate`` runs ``k`` folds in at once:
+    ``min(threads, k)`` forked workers, or 1 (the calling process, one
+    fold after another) where the platform cannot fork."""
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    return min(threads, k) if BACKEND == "compiled" else 1
+    return min(threads, k) if _FORK else 1
 
 
 def cross_validate(
@@ -276,23 +298,42 @@ def cross_validate(
     only; feature selection runs on the training rows (with its internal
     fit/validation split); the final model trains with full epochs on all
     training rows under the selected mask; the held-out fold is scored.
-    Folds run on ``fold_workers(threads, k)`` threads and use disjoint
-    derived seeds, so results do not depend on the thread count. ``audit``
-    receives (stage, fold, absolute row indices) on the fold's thread.
+    Folds run in ``fold_workers(threads, k)`` forked worker processes
+    (in this one when that is 1) and use disjoint derived seeds, so
+    results do not depend on the worker count. ``audit`` receives
+    (stage, fold, absolute row indices) in the calling thread, each
+    fold's events in the order the fold made them, after that fold ends
+    and in fold order. Every worker has exited when this returns or
+    raises.
     """
     workers = fold_workers(threads, k)
     columns = to_columns(records)  # split once; each fold takes its rows from it
     folds = stratified_fold_indices(class_labels(columns.labels), k, derive_seed(seed, "folds"))
+    inputs = (columns, folds, goa_config, svm_config, seed, fitness_epochs)
 
-    def job(args):
-        fold, (train_idx, test_idx) = args
-        return _run_fold(
-            fold, columns, train_idx, test_idx,
-            goa_config, svm_config, seed, fitness_epochs, audit,
-        )
+    pool = None
+    if workers == 1:
+        results = map(partial(_fold_job, inputs=inputs), range(k))
+    else:
+        # Imported here: they add about 1 MB to every stage's import, and
+        # only a pool of fold workers needs them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        fold_reports = list(pool.map(job, enumerate(folds)))
+        # Forked workers inherit ``inputs``; a task carries only its fold.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_start_worker, initargs=inputs)
+        results = pool.map(_fold_job, range(k))
+    try:
+        fold_reports = []
+        for report, events in results:
+            fold_reports.append(report)
+            if audit is not None:
+                for event in events:
+                    audit(*event)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     macro_values = {
         metric: np.array([f.metrics.macro[metric] for f in fold_reports])

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from swarmids import classifier, evaluation
+from swarmids import classifier
 from swarmids._kernels import _hinge_sgd_py
 from swarmids.cli import main
 from swarmids.errors import DataWarning
@@ -56,7 +56,6 @@ def test_pipeline_artifacts_pinned(tmp_path, monkeypatch, build, corpus, backend
     if train is None:
         pytest.skip("compiled backend not built")
     monkeypatch.setattr(classifier, "hinge_train", train)
-    monkeypatch.setattr(evaluation, "BACKEND", backend)  # the fold pool width follows the kernel
     (tmp_path / "corpus.csv").write_text(corpus, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # a relative --data, so the config digest is fixed
     with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """CLI: subcommands, artifacts, exit codes, config round-trip, SVG output."""
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import swarmids
-from swarmids import classifier, evaluation
+from swarmids import classifier, selection
 from swarmids._kernels import _hinge_sgd_py
 from swarmids.cli import RunConfig, config_digest, config_from_text, config_to_text, main
 from swarmids.errors import ConfigError, DataWarning
@@ -233,17 +234,47 @@ class TestEvaluateAndPipeline:
             pytest.skip("compiled backend not built")
         out = tmp_path / "run"
         artifacts = []
-        for train, backend, workers in ((_hinge_sgd_py.hinge_train, "python", 1), (build[0], "compiled", 2)):
+        for train, backend in ((_hinge_sgd_py.hinge_train, "python"), (build[0], "compiled")):
             monkeypatch.setattr(classifier, "hinge_train", train)
-            monkeypatch.setattr(evaluation, "BACKEND", backend)
             shutil.rmtree(out, ignore_errors=True)
             assert run_cli(["pipeline", *_args(synth_file, out, "--threads", "2")]) == 0
             timing = json.loads((out / "evaluate_timing.json").read_text())
-            assert (timing["threads"], timing["fold_workers"]) == (2, workers)
+            # Two worker processes on either backend.
+            assert (timing["threads"], timing["fold_workers"]) == (2, 2)
             artifacts.append({path.name: path.read_bytes() for path in out.iterdir()
                               if path.name != "evaluate_timing.json"})
         assert len(artifacts[0]) == 19
         assert artifacts[0] == artifacts[1]
+
+    def test_report_identical_across_threads(self, synth_file, tmp_path, run_cli):
+        # The calling process alone, then two and three worker processes.
+        # Only the meta block's config digest, which covers --threads, differs.
+        out = tmp_path / "run"
+        assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        reports = set()
+        for threads in ("1", "2", "3"):
+            assert run_cli(["evaluate", *_args(synth_file, out, "--threads", threads)]) == 0
+            timing = json.loads((out / "evaluate_timing.json").read_text())
+            assert timing["fold_workers"] == int(threads)
+            digest = timing["meta"]["config_digest"]
+            reports.add((out / "evaluate_report.json").read_text().replace(digest, "DIGEST"))
+        assert len(reports) == 1
+
+    def test_fold_objective_failure_in_a_worker_exits_3(self, synth_file, tmp_path, run_cli,
+                                                         capsys, monkeypatch):
+        # The ObjectiveError a worker raises reaches main whole: the exit
+        # code and the text are those of a fold run in this process.
+        out = tmp_path / "run"
+        assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        monkeypatch.setattr(selection.WrapperObjective, "__call__",
+                            lambda self, masks: [float("nan")] * len(masks))
+        capsys.readouterr()
+        assert run_cli(["evaluate", *_args(synth_file, out, "--threads", "2")]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "runtime failure: objective failed for mask "
+            "10111110110110010101011110110000001010101: fitness nan is not finite"
+        )
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("stage", ["select", "evaluate"])
     def test_single_class_data_exits_2(self, tmp_path, run_cli, capsys, stage):
@@ -361,8 +392,10 @@ class TestBackendNotice:
         notes = [l for l in capsys.readouterr().err.splitlines() if l.startswith("note:")]
         if shown:
             assert len(notes) == 1
-            assert "'python'" in notes[0] and 'README "Install"' in notes[0]
-            assert "folds run one at a time" in notes[0]
+            assert notes[0] == (
+                "note: SGD kernel backend 'python' (the pure-Python twin, much slower); "
+                'build the compiled kernel as README "Install" says'
+            )
         else:
             assert notes == []
 

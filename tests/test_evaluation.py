@@ -2,6 +2,8 @@
 cross-validation orchestrator (including the leakage audit)."""
 
 import json
+import multiprocessing
+import os
 import threading
 import warnings
 from collections import defaultdict
@@ -15,7 +17,7 @@ from swarmids import classifier, evaluation
 from swarmids._kernels import _hinge_sgd_py
 from swarmids.classifier import SvmConfig
 from swarmids.dataset import CLASS_NAMES
-from swarmids.errors import ConfigError, DataError, DataWarning
+from swarmids.errors import ConfigError, DataError, DataWarning, ObjectiveError
 from swarmids.evaluation import (
     ConfusionCounts,
     MetricsReport,
@@ -209,10 +211,8 @@ class TestCrossValidate:
             )
         assert report_to_json(again) == report_to_json(cv_report)
 
-    def test_threads_do_not_change_results(self, synth_records, cv_report, monkeypatch):
-        # Size the pool as for the compiled kernel, so three fold threads
-        # run on any machine; the twin is thread-safe.
-        monkeypatch.setattr(evaluation, "BACKEND", "compiled")
+    def test_threads_do_not_change_results(self, synth_records, cv_report):
+        # Three forked workers against the calling process alone.
         goa, svm = _fast_configs()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
@@ -243,57 +243,94 @@ class TestCrossValidate:
                            threads=threads)
 
 
-class TestFoldThreads:
-    """Folds run one at a time on a one-thread pool while the kernel holds
-    the GIL, and on min(threads, k) pool threads when it releases it."""
+_RUN_FOLD = evaluation._run_fold
 
-    @pytest.mark.parametrize("backend, threads, k, workers", [
-        ("compiled", 2, 4, 2), ("compiled", 8, 3, 3), ("compiled", 1, 4, 1),
-        ("python", 2, 4, 1), ("python", 8, 3, 1),
-    ])
-    def test_pool_width(self, monkeypatch, backend, threads, k, workers):
-        monkeypatch.setattr(evaluation, "BACKEND", backend)
+
+class TestFoldWorkers:
+    """Folds run in min(threads, k) forked worker processes on either
+    backend, or in the calling process when that is 1 or the platform
+    cannot fork; audit events come back to the calling thread."""
+
+    @pytest.mark.parametrize("threads, k, workers", [(2, 4, 2), (8, 3, 3), (1, 4, 1)])
+    def test_pool_width(self, threads, k, workers):
         assert fold_workers(threads, k) == workers
 
     @staticmethod
-    def _use(monkeypatch, train, backend):
-        monkeypatch.setattr(classifier, "hinge_train", train)
-        monkeypatch.setattr(evaluation, "BACKEND", backend)
+    def _fold_pids(monkeypatch, records, threads, before=lambda fold: None):
+        """Run a 3-fold evaluation with ``_run_fold`` wrapped to call
+        ``before(fold)`` first and to report its process id as an audit
+        event; return the events in the order the audit hook got them,
+        each with the hook's thread ident, and the report."""
+        def wrapped(fold, *args):
+            args[-1]("pid", fold, np.array([os.getpid()]))
+            before(fold)
+            return _RUN_FOLD(fold, *args)
 
-    @staticmethod
-    def _fold_threads(records, threads, barrier=None):
-        """The thread idents each fold's audit events ran on. With a
-        ``barrier``, the first ``barrier.parties`` folds wait for each other
-        after their encoding fit, so they must run at the same time."""
-        seen = defaultdict(set)
+        monkeypatch.setattr(evaluation, "_run_fold", wrapped)
+        events = []
 
         def audit(stage, fold, indices):
-            seen[fold].add(threading.get_ident())
-            if barrier is not None and stage == "encoding_fit" and fold < barrier.parties:
-                barrier.wait()
+            events.append((stage, fold, indices, threading.get_ident()))
 
         goa = GoaConfig(population_size=4, max_iterations=2, fitness_delta_stop=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
-            cross_validate(records, k=3, goa_config=goa, svm_config=SvmConfig(epochs=2),
-                           seed=7, fitness_epochs=1, threads=threads, audit=audit)
-        return dict(seen)
+            report = cross_validate(records, k=3, goa_config=goa, svm_config=SvmConfig(epochs=2),
+                                    seed=7, fitness_epochs=1, threads=threads, audit=audit)
+        return events, report
 
-    def test_twin_folds_run_on_one_thread(self, synth_records, monkeypatch):
-        self._use(monkeypatch, _hinge_sgd_py.hinge_train, "python")
-        seen = self._fold_threads(synth_records, threads=3)
-        assert sorted(seen) == [0, 1, 2]
-        assert len(set().union(*seen.values())) == 1
-
-    def test_compiled_folds_run_on_two_pool_threads(self, build, synth_records, monkeypatch):
-        if build[0] is None:
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_two_folds_run_at_once_in_worker_processes(self, build, synth_records,
+                                                       monkeypatch, backend):
+        train = _hinge_sgd_py.hinge_train if backend == "python" else build[0]
+        if train is None:
             pytest.skip("compiled backend not built")
-        self._use(monkeypatch, build[0], "compiled")
-        seen = self._fold_threads(synth_records, threads=2, barrier=threading.Barrier(2, timeout=30))
-        assert sorted(seen) == [0, 1, 2]
-        assert all(len(idents) == 1 for idents in seen.values())  # a fold stays on its thread
-        pool = set().union(*seen.values())
-        assert len(pool) == 2 and threading.get_ident() not in pool
+        monkeypatch.setattr(classifier, "hinge_train", train)
+        # Made before the pool forks, so the workers share it: folds 0 and 1
+        # both wait at it before they start, so they must run at the same time.
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=30)
+        events, report = self._fold_pids(
+            monkeypatch, synth_records, threads=2,
+            before=lambda fold: fold < 2 and barrier.wait(),
+        )
+        pids = {fold: int(indices[0]) for stage, fold, indices, _ in events if stage == "pid"}
+        assert sorted(pids) == [0, 1, 2]
+        assert pids[0] != pids[1] and os.getpid() not in pids.values()
+        assert {ident for *_, ident in events} == {threading.get_ident()}
+        assert multiprocessing.active_children() == []
+        _, alone = self._fold_pids(monkeypatch, synth_records, threads=1)
+        assert report_to_json(report) == report_to_json(alone)
+
+    def test_audit_events_arrive_in_fold_order_in_the_calling_thread(self, synth_records, monkeypatch):
+        events, _ = self._fold_pids(monkeypatch, synth_records, threads=3)
+        stages = ["pid", "encoding_fit", "normalize_fit", "fitness_train", "fitness_val",
+                  "final_train", "test_predict"]
+        assert [(stage, fold) for stage, fold, *_ in events] == [
+            (stage, fold) for fold in range(3) for stage in stages
+        ]
+        assert {ident for *_, ident in events} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_one_worker_runs_in_the_calling_process(self, synth_records, monkeypatch, fork):
+        # One thread, or a platform without fork, maps the folds here.
+        monkeypatch.setattr(evaluation, "_FORK", fork)
+        assert fold_workers(3, 3) == (3 if fork else 1)
+        events, _ = self._fold_pids(monkeypatch, synth_records, threads=1 if fork else 3)
+        assert {int(indices[0]) for stage, _, indices, _ in events if stage == "pid"} == {os.getpid()}
+
+    def test_no_worker_outlives_the_call(self, synth_records, monkeypatch):
+        self._fold_pids(monkeypatch, synth_records, threads=2)
+        assert multiprocessing.active_children() == []
+
+        def fail(fold):
+            if fold == 1:
+                raise ObjectiveError("0101", "fold 1 failed")
+
+        with pytest.raises(ObjectiveError) as raised:
+            self._fold_pids(monkeypatch, synth_records, threads=2, before=fail)
+        assert (str(raised.value), raised.value.mask_bits) == (
+            "objective failed for mask 0101: fold 1 failed", "0101")
+        assert multiprocessing.active_children() == []
 
 
 class TestLeakageAudit:

@@ -11,6 +11,7 @@ without a prior build step and without writing into ``src/``.
 
 import hashlib
 import io
+import sysconfig
 import warnings
 from functools import partial
 from pathlib import Path
@@ -18,8 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmids import classifier, evaluation
-from swarmids._kernels import _hinge_sgd_py, available_backends, hinge_epoch, load_compiled
+from swarmids import classifier
+from swarmids._kernels import (
+    _LIBRARY, _hinge_sgd_py, available_backends, hinge_epoch, load_compiled,
+)
 from swarmids.dataset import Dataset, parse_kdd
 from swarmids.errors import DataWarning
 from swarmids.evaluation import cross_validate, report_to_json
@@ -72,6 +75,12 @@ def test_library_without_symbol_fails_to_load():
     with pytest.raises(ImportError) as info:
         load_compiled(path)
     assert str(path) in str(info.value) and "python setup.py build_ext --inplace" in str(info.value)
+
+
+def test_library_name_is_the_build_name():
+    # The package names the library by the import system's first extension
+    # suffix; setup.py's build names it by sysconfig's EXT_SUFFIX.
+    assert _LIBRARY.name == "_hinge_sgd" + sysconfig.get_config_var("EXT_SUFFIX")
 
 
 def test_single_step_hand_arithmetic(backends):
@@ -151,16 +160,14 @@ def test_shape_mismatch_raises(backends):
 
 
 def test_compiled_kernel_on_fold_threads(train_backends, monkeypatch):
-    # The compiled kernel releases the GIL, so evaluate's fold pool runs it
-    # concurrently (the twin runs its folds one at a time); the report must
-    # not depend on backend or thread count.
+    # evaluate's folds run in forked worker processes on either backend;
+    # the report must not depend on backend or worker count.
     if "compiled" not in train_backends:
         pytest.skip("compiled backend not built")
     records = parse_kdd(make_kdd_csv(400, seed=7))
     reports = []
     for name in ("python", "compiled"):
         monkeypatch.setattr(classifier, "hinge_train", train_backends[name])
-        monkeypatch.setattr(evaluation, "BACKEND", name)
         for threads in (1, 2):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DataWarning)
