@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -28,11 +29,15 @@ from .classifier import SvmConfig
 from .dataset import (
     CLASS_NAMES,
     FEATURE_NAMES,
+    Dataset,
+    EncodingTable,
+    NormStats,
+    Record,
     apply_normalize,
     class_histogram,
     class_labels,
     encode,
-    encoded_to_text,
+    encoded_lines,
     encoding_to_text,
     fit_encoding,
     fit_normalize,
@@ -177,8 +182,12 @@ def _out_dir(config: RunConfig) -> Path:
     return path
 
 
-def _write(path: Path, content: str) -> None:
-    path.write_text(content, encoding="utf-8")
+def _write(path: Path, text: str, lines: Iterable[str] = ()) -> None:
+    """Write ``text``, then each of ``lines``: a large artifact passes its
+    rows one at a time, so its whole text is never held."""
+    with path.open("w", encoding="utf-8") as stream:
+        stream.write(text)
+        stream.writelines(lines)
 
 
 def _threads(config: RunConfig) -> int:
@@ -211,6 +220,24 @@ def _read_records(path: Path, missing: str):
         raise DataError(_not_utf8(path)) from None
 
 
+def _ingest(records: list[Record], stage: str) -> tuple[EncodingTable, NormStats, Dataset]:
+    """Split, encode and normalize ``records``, fitting the encoding and the
+    min/max stats on them.
+
+    Each representation dies once the next one is built: ``records`` is
+    emptied once split, the columns go once encoded and the raw matrix once
+    normalized. The calls go through this module's names, which the
+    benchmark patches to time them.
+    """
+    columns = to_columns(records)
+    records.clear()
+    encoding = fit_encoding(columns, fitted_on=f"{stage}[{len(columns)} rows]")
+    raw = encode(columns, encoding)
+    del columns
+    stats = fit_normalize(raw)
+    return encoding, stats, apply_normalize(raw, stats)
+
+
 def cmd_prepare(config: RunConfig) -> int:
     """Parse, subsample, encode, and normalize; write audit artifacts."""
     out = _out_dir(config)
@@ -226,28 +253,29 @@ def cmd_prepare(config: RunConfig) -> int:
 
     n = config.subsample
     if n and n < len(records):
-        keep = stratified_sample_indices(labels, n, derive_seed(stage_seed, "subsample"))
-        records = [records[i] for i in keep.tolist()]
+        keep = stratified_sample_indices(labels, n, derive_seed(stage_seed, "subsample")).tolist()
         labels = labels[keep]
-    elif n > len(records):
-        print(
-            f"note: subsample {n} exceeds {len(records)} rows; keeping all",
-            file=sys.stderr,
-        )
-
-    columns = to_columns(records)
-    encoding = fit_encoding(columns, fitted_on=f"prepare[{len(columns)} rows]")
-    raw_ds = encode(columns, encoding)
-    stats = fit_normalize(raw_ds)
-    normalized = apply_normalize(raw_ds, stats)
+        body = "\n".join([records[i].line for i in keep])
+        # Split fresh copies of the kept lines out of the body. A kept line
+        # left in place would pin the allocator pool it shares with the
+        # dropped lines around it, so the memory they free could not hold
+        # the split fields.
+        records = list(map(Record, body.split("\n"), [records[i].label for i in keep]))
+    else:
+        if n > len(records):
+            print(
+                f"note: subsample {n} exceeds {len(records)} rows; keeping all",
+                file=sys.stderr,
+            )
+        body = "\n".join([r.line for r in records])
+    encoding, stats, normalized = _ingest(records, "prepare")
 
     _write(out / "prepare_config.txt", _meta_lines(meta) + config_to_text(config))
     _write(
         out / "prepare_data.csv",
-        _meta_lines({**meta, "rows": str(len(records))})
-        + "\n".join(r.line for r in records)
-        + "\n",
+        _meta_lines({**meta, "rows": str(normalized.n_rows)}) + body + "\n",
     )
+    del body
     _write(out / "prepare_encoding.txt", _meta_lines(meta) + encoding_to_text(encoding))
     _write(out / "prepare_norm_stats.txt", _meta_lines(meta) + norm_stats_to_text(stats))
     histogram = class_histogram(labels)
@@ -258,8 +286,8 @@ def cmd_prepare(config: RunConfig) -> int:
     )
     _write(
         out / "prepare_encoded.csv",
-        _meta_lines({**meta, "columns": "41 normalized features + label index"})
-        + encoded_to_text(normalized),
+        _meta_lines({**meta, "columns": "41 normalized features + label index"}),
+        encoded_lines(normalized),
     )
     print(
         f"prepared {normalized.n_rows} rows, {normalized.n_features} features, "
@@ -274,11 +302,9 @@ def cmd_select(config: RunConfig) -> int:
     meta = _meta(config, "select")
     stage_seed = derive_seed(config.seed, "select")
 
-    columns = to_columns(_read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING))
-    encoding = fit_encoding(columns, fitted_on=f"select[{len(columns)} rows]")
-    raw_ds = encode(columns, encoding)
-    stats = fit_normalize(raw_ds)
-    dataset = apply_normalize(raw_ds, stats)
+    _, _, dataset = _ingest(
+        _read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING), "select"
+    )
 
     with (out / "select_trace.csv").open("w", encoding="utf-8") as trace:
         trace.write(_meta_lines(meta))
@@ -289,7 +315,9 @@ def cmd_select(config: RunConfig) -> int:
             fitness_epochs=config.fitness_epochs,
             trace=trace,
         )
-        goa = config.goa_config(seed=derive_seed(stage_seed, "goa"), dim=dataset.n_features)
+        n_features = dataset.n_features
+        del dataset  # the objective keeps its own fit and validation rows
+        goa = config.goa_config(seed=derive_seed(stage_seed, "goa"), dim=n_features)
         result = run(objective, goa)
         breakdown = objective.breakdown(result.best_mask)
     mask_bits = mask_to_bitstring(result.best_mask)
@@ -314,7 +342,7 @@ def cmd_select(config: RunConfig) -> int:
             line_chart(xs, ys, "Best fitness per iteration", "iteration", "fitness", meta),
         )
     print(
-        f"selected {breakdown.n_f}/{dataset.n_features} features "
+        f"selected {breakdown.n_f}/{n_features} features "
         f"(fitness {breakdown.fitness:.4f}, {len(result.history)} iterations) -> {out}"
     )
     return 0
@@ -448,7 +476,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             raise ConfigError(_not_utf8(path)) from None
         values = _config_values(text)

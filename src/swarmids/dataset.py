@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,14 +192,16 @@ def parse_kdd(source: Iterable[str] | str) -> list[Record]:
     """Parse comma-separated NSL-KDD lines (42 or 43 fields) into records.
 
     Accepts an open text file, any iterable of lines, or a whole string.
-    Blank lines and ``#`` comment lines are skipped. A 43rd field is the
-    difficulty score and must be an integer. Every line is checked, but
-    only a line holding whitespace is split here, to strip its fields.
+    One byte-order mark (U+FEFF) at the very start is skipped. Blank lines
+    and ``#`` comment lines are skipped. A 43rd field is the difficulty
+    score and must be an integer. Every line is checked, but only a line
+    holding whitespace is split here, to strip its fields.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    first = next(lines, "").removeprefix("\ufeff")
     records: list[Record] = []
     tails: dict[str, tuple[str, str]] = {}  # few distinct (name, difficulty) pairs
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(chain([first], lines), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -294,10 +296,12 @@ def fit_normalize(dataset: Dataset) -> NormStats:
 def apply_normalize(dataset: Dataset, stats: NormStats) -> Dataset:
     """Min-max scale to [0, 1] with clipping; degenerate features map to 0."""
     span = stats.maxs - stats.mins
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (dataset.rows - stats.mins) / safe
-    scaled = np.where(span > 0, scaled, 0.0)
-    return Dataset(np.clip(scaled, 0.0, 1.0), dataset.labels)
+    live = span > 0
+    scaled = dataset.rows - stats.mins  # the one new matrix; the rest is in place
+    scaled /= np.where(live, span, 1.0)
+    scaled[:, ~live] = 0.0
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    return Dataset(scaled, dataset.labels)
 
 
 def stratified_sample_indices(labels: np.ndarray, n: int, seed: int) -> np.ndarray:
@@ -387,8 +391,10 @@ def encoding_to_text(table: EncodingTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def encoded_to_text(dataset: Dataset) -> str:
-    """One CSV line per row: every value's float repr, then the label index.
+def encoded_lines(dataset: Dataset) -> Iterator[str]:
+    """One CSV line per row, newline included: every value's float repr,
+    then the label index. A line is joined only when it is consumed, so a
+    writer never holds the whole text.
 
     Formatted column by column; each distinct value of a column (by bit
     pattern, so -0.0 and 0.0 stay apart) goes through ``repr`` once.
@@ -398,8 +404,8 @@ def encoded_to_text(dataset: Dataset) -> str:
         bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
         texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
         columns.append(texts[inverse].tolist())
-    columns.append([str(label) for label in dataset.labels.tolist()])
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+    columns.append([f"{label}\n" for label in dataset.labels.tolist()])
+    return map(",".join, zip(*columns))
 
 
 def norm_stats_to_text(stats: NormStats) -> str:

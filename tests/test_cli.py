@@ -370,6 +370,15 @@ class TestExitCodes:
         assert run_cli(["prepare", "--config", str(cfg)]) == 1
         assert f"error: {cfg}: line 2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
+    def test_config_byte_order_mark_is_skipped(self, synth_file, tmp_path, run_cli):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed=7\nsubsample=50\n")
+        out = tmp_path / "run"
+        assert run_cli(["prepare", "--config", str(cfg), "--data", str(synth_file),
+                        "--out", str(out)]) == 0
+        config = (out / "prepare_config.txt").read_text(encoding="utf-8").splitlines()
+        assert "seed=7" in config and "subsample=50" in config
+
     def test_module_run_exits_with_main_code(self, tmp_path):
         # ``python -m swarmids.cli`` runs the same entry point as ``swarmids``.
         src = str(Path(swarmids.__file__).resolve().parent.parent)

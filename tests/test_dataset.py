@@ -216,6 +216,23 @@ class TestNormalize:
         assert out.rows[0, 0] == 1.0
         assert out.rows[1, 0] == 0.0
 
+    def test_bytes_match_the_whole_array_formula(self):
+        # apply_normalize scales one matrix in place; the reference builds a
+        # new array at each step. Test rows reach outside the fitted range,
+        # and columns 3 and 7 are constant.
+        rng = np.random.default_rng(4)
+        train = rng.choice([-0.0, 0.0, 0.1, 1 / 3, 7.0, 1e300], size=(50, N_FEATURES))
+        train[:, [3, 7]] = 2.5
+        stats = fit_normalize(Dataset(train, np.zeros(50, dtype=np.int64)))
+        test = Dataset(rng.uniform(-1e3, 1e3, size=(30, N_FEATURES)),
+                       np.zeros(30, dtype=np.int64))
+        before = test.rows.tobytes()
+        span = stats.maxs - stats.mins
+        scaled = (test.rows - stats.mins) / np.where(span > 0, span, 1.0)
+        expected = np.clip(np.where(span > 0, scaled, 0.0), 0.0, 1.0)
+        assert apply_normalize(test, stats).rows.tobytes() == expected.tobytes()
+        assert test.rows.tobytes() == before
+
     def test_refit_on_normalized_is_identity(self, synth_dataset):
         # Once data is in [0,1], stats fitted on it normalize to itself.
         stats = fit_normalize(synth_dataset)

@@ -18,7 +18,7 @@ from swarmids.dataset import (
     N_FEATURES,
     Dataset,
     encode,
-    encoded_to_text,
+    encoded_lines,
     fit_encoding,
     parse_kdd,
     to_columns,
@@ -125,6 +125,34 @@ def test_prepare_bytes_pinned(tmp_path, monkeypatch, subsample):
     assert digests == PINNED[subsample]
 
 
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("first", ["comment", "record"])
+def test_parse_skips_one_leading_byte_order_mark(first):
+    text = awkward_corpus().decode("utf-8")
+    if first == "record":
+        text = text.split("\n", 2)[2]  # drop the comment and blank lines
+    assert parse_kdd(BOM + text) == parse_kdd(text)
+    assert parse_kdd(iter((BOM + text).splitlines())) == parse_kdd(text)
+
+
+@pytest.mark.parametrize("subsample", sorted(PINNED))
+def test_byte_order_mark_leaves_prepare_bytes_unchanged(tmp_path, monkeypatch, subsample):
+    # A record on the first line: the mark once became part of its duration.
+    corpus = awkward_corpus().split(b"\n", 2)[2]
+    digests = []
+    for name, data in (("plain", corpus), ("bom", BOM.encode("utf-8") + corpus)):
+        (tmp_path / name).mkdir()
+        assert _prepare(tmp_path / name, monkeypatch, data, "--subsample", subsample) == 0
+        digests.append({
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((tmp_path / name / "out").glob("prepare_*"))
+        })
+    assert digests[0] == digests[1]
+    assert BOM not in (tmp_path / "bom" / "out" / "prepare_encoding.txt").read_text("utf-8")
+
+
 def _line(label="normal", features=None, difficulty="21"):
     fields = list(features or ["0"] * N_FEATURES) + [label]
     return ",".join(fields + ([difficulty] if difficulty is not None else []))
@@ -195,6 +223,6 @@ def test_encoded_text_is_the_row_wise_repr():
         ",".join(repr(float(v)) for v in row) + f",{label}\n"
         for row, label in zip(dataset.rows, dataset.labels)
     )
-    text = encoded_to_text(dataset)
+    text = "".join(encoded_lines(dataset))
     assert text == expected
     assert "-0.0," in text and ",0.0," in text
