@@ -18,8 +18,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -29,9 +30,6 @@ from .classifier import SvmConfig
 from .dataset import (
     CLASS_NAMES,
     FEATURE_NAMES,
-    Dataset,
-    EncodingTable,
-    NormStats,
     Record,
     apply_normalize,
     class_histogram,
@@ -43,6 +41,7 @@ from .dataset import (
     fit_normalize,
     norm_stats_to_text,
     parse_kdd,
+    read_encoded,
     stratified_sample_indices,
     to_columns,
 )
@@ -190,10 +189,6 @@ def _write(path: Path, text: str, lines: Iterable[str] = ()) -> None:
         stream.writelines(lines)
 
 
-def _threads(config: RunConfig) -> int:
-    return config.threads or os.cpu_count() or 1
-
-
 _PREPARED_MISSING = "prepared artifact missing: {} (run prepare first)"
 
 
@@ -208,34 +203,16 @@ def _not_utf8(path: Path) -> str:
     return f"{path}: not UTF-8"
 
 
-def _read_records(path: Path, missing: str):
-    """Parse ``path``, or raise ``DataError(missing.format(path))`` if it is
-    absent and a ``DataError`` naming the line if it is not UTF-8."""
+def _read(path: Path, missing: str, read: Callable[[TextIO], object], encoding: str = "utf-8"):
+    """``read`` of ``path`` opened as text, or ``DataError(missing.format(path))``
+    if it is absent and a ``DataError`` naming the line if it is not UTF-8."""
     if not path.exists():
         raise DataError(missing.format(path))
     try:
-        with path.open("r", encoding="utf-8") as stream:
-            return parse_kdd(stream)
+        with path.open("r", encoding=encoding) as stream:
+            return read(stream)
     except UnicodeDecodeError:
         raise DataError(_not_utf8(path)) from None
-
-
-def _ingest(records: list[Record], stage: str) -> tuple[EncodingTable, NormStats, Dataset]:
-    """Split, encode and normalize ``records``, fitting the encoding and the
-    min/max stats on them.
-
-    Each representation dies once the next one is built: ``records`` is
-    emptied once split, the columns go once encoded and the raw matrix once
-    normalized. The calls go through this module's names, which the
-    benchmark patches to time them.
-    """
-    columns = to_columns(records)
-    records.clear()
-    encoding = fit_encoding(columns, fitted_on=f"{stage}[{len(columns)} rows]")
-    raw = encode(columns, encoding)
-    del columns
-    stats = fit_normalize(raw)
-    return encoding, stats, apply_normalize(raw, stats)
 
 
 def cmd_prepare(config: RunConfig) -> int:
@@ -246,7 +223,7 @@ def cmd_prepare(config: RunConfig) -> int:
 
     if not config.data:
         raise ConfigError("no dataset path given (use --data or a config file)")
-    records = _read_records(Path(config.data), "dataset file not found: {}")
+    records = _read(Path(config.data), "dataset file not found: {}", parse_kdd)
     if not records:
         raise DataError(f"no records in {config.data}")
     labels = class_labels([r.label for r in records])
@@ -268,7 +245,15 @@ def cmd_prepare(config: RunConfig) -> int:
                 file=sys.stderr,
             )
         body = "\n".join([r.line for r in records])
-    encoding, stats, normalized = _ingest(records, "prepare")
+    # Each form dies once the next is built; calls go through names the benchmark patches.
+    columns = to_columns(records)
+    records.clear()
+    encoding = fit_encoding(columns, fitted_on=f"prepare[{len(columns)} rows]")
+    raw = encode(columns, encoding)
+    del columns
+    stats = fit_normalize(raw)
+    normalized = apply_normalize(raw, stats)
+    del raw
 
     _write(out / "prepare_config.txt", _meta_lines(meta) + config_to_text(config))
     _write(
@@ -291,7 +276,7 @@ def cmd_prepare(config: RunConfig) -> int:
     )
     print(
         f"prepared {normalized.n_rows} rows, {normalized.n_features} features, "
-        f"{len(CLASS_NAMES)} classes -> {out}"
+        f"{sum(count > 0 for count in histogram.values())} classes -> {out}"
     )
     return 0
 
@@ -302,9 +287,8 @@ def cmd_select(config: RunConfig) -> int:
     meta = _meta(config, "select")
     stage_seed = derive_seed(config.seed, "select")
 
-    _, _, dataset = _ingest(
-        _read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING), "select"
-    )
+    path = Path(config.out) / "prepare_encoded.csv"  # utf-8-sig skips a byte-order mark
+    dataset = _read(path, _PREPARED_MISSING, partial(read_encoded, name=str(path)), "utf-8-sig")
 
     with (out / "select_trace.csv").open("w", encoding="utf-8") as trace:
         trace.write(_meta_lines(meta))
@@ -354,8 +338,8 @@ def cmd_evaluate(config: RunConfig) -> int:
     meta = _meta(config, "evaluate")
     stage_seed = derive_seed(config.seed, "evaluate")
 
-    records = _read_records(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING)
-    threads = _threads(config)
+    records = _read(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING, parse_kdd)
+    threads = config.threads or os.cpu_count() or 1
     started = time.perf_counter()
     report = cross_validate(
         records,
@@ -422,9 +406,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 def cmd_pipeline(config: RunConfig) -> int:
     """prepare, select, and evaluate in sequence under one master seed."""
     for stage in (cmd_prepare, cmd_select, cmd_evaluate):
-        code = stage(config)
-        if code != 0:
-            return code
+        stage(config)  # a stage returns 0 or raises
     return 0
 
 

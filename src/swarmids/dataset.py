@@ -12,6 +12,7 @@ ships as a versioned table under ``data/``.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -406,6 +407,33 @@ def encoded_lines(dataset: Dataset) -> Iterator[str]:
         columns.append(texts[inverse].tolist())
     columns.append([f"{label}\n" for label in dataset.labels.tolist()])
     return map(",".join, zip(*columns))
+
+
+def read_encoded(lines: Iterable[str], name: str) -> Dataset:
+    """The rows and labels ``encoded_lines`` wrote to the file ``name``, read
+    from its lines, ``#`` header lines first; ``float`` reads each ``repr``
+    back to its bits. A row that is not 41 values in [0, 1] (normalization
+    clips to it) and a class index, or no row at all, raises ``DataError``."""
+    values = array("d")
+    for line_no, line in enumerate(lines, start=1):
+        if not values and line.startswith("#"):
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != N_FEATURES + 1:
+                raise ValueError(f"{len(fields)} fields, not {N_FEATURES} values and a label")
+            values.extend(map(float, fields))
+        except ValueError as exc:
+            raise DataError(f"{name}: line {line_no}: {exc}") from None
+    if not values:
+        raise DataError(f"{name}: no rows")
+    table = np.frombuffer(values).reshape(-1, N_FEATURES + 1)
+    rows, labels = table[:, :N_FEATURES], table[:, N_FEATURES]
+    good = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1) & np.isin(labels, range(len(CLASS_NAMES)))
+    if not good.all():  # the rows are the last len(good) lines
+        raise DataError(f"{name}: line {line_no - len(good) + int(np.argmin(good)) + 1}: a value "
+                        f"outside [0, 1] or a label not in 0..{len(CLASS_NAMES) - 1}")
+    return Dataset(rows, labels.astype(np.int64))
 
 
 def norm_stats_to_text(stats: NormStats) -> str:

@@ -115,6 +115,16 @@ class TestPrepare:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subsample, classes", [("0", 5), ("3", 2)])
+    def test_summary_counts_the_classes_present(self, synth_file, tmp_path, run_cli, capsys,
+                                                subsample, classes):
+        out = tmp_path / "run"
+        assert run_cli(["prepare", *_args(synth_file, out, "--subsample", subsample)]) == 0
+        rows = 900 if subsample == "0" else int(subsample)
+        assert f"prepared {rows} rows, 41 features, {classes} classes" in capsys.readouterr().out
+        counts = (out / "prepare_class_histogram.csv").read_text().splitlines()[4:]
+        assert sum(line.split(",")[1] != "0" for line in counts) == classes
+
     def test_subsample_is_stratified(self, synth_file, tmp_path, run_cli):
         out = tmp_path / "run"
         run_cli(["prepare", *_args(synth_file, out)])
@@ -152,6 +162,67 @@ class TestSelect:
         svg = (out / "select_convergence.svg").read_text()
         ET.fromstring(svg)  # well-formed
         assert "href" not in svg
+
+    def test_reads_the_matrix_prepare_wrote(self, synth_file, tmp_path, run_cli):
+        # Without the prepared records, select still runs on the prepared
+        # matrix and writes the same bytes.
+        with_records, without = tmp_path / "a", tmp_path / "b"
+        for out in (with_records, without):
+            assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        (without / "prepare_data.csv").unlink()
+        for out in (with_records, without):
+            assert run_cli(["select", *_args(synth_file, out)]) == 0
+        names = sorted(p.name for p in with_records.glob("select_*"))
+        assert names == sorted(p.name for p in without.glob("select_*"))
+        assert "select_mask.txt" in names and "select_trace.csv" in names
+        for name in names:
+            a, b = (with_records / name).read_text(), (without / name).read_text()
+            assert a == b.replace(f"out={without}", f"out={with_records}"), name
+
+    # (edit of prepare_encoded.csv's lines, line the error names or None); lines[4]
+    # is line 5, the first row after the four header lines.
+    MALFORMED = {
+        "missing": (None, None),
+        "header_only": (lambda lines: lines[:4], None),
+        "40_values": (lambda lines: lines[:5] + [lines[5].split(",", 1)[1]] + lines[6:], 6),
+        "label_1.5": (lambda lines: lines[:6] + [lines[6].rsplit(",", 1)[0] + ",1.5\n"], 7),
+        "label_7": (lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0] + ",7\n"] + lines[5:], 5),
+        "nan_value": (lambda lines: lines[:5] + ["nan," + lines[5].split(",", 1)[1]] + lines[6:], 6),
+        "value_2.0": (lambda lines: lines[:4] + ["2.0," + lines[4].split(",", 1)[1]] + lines[5:], 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_prepared_matrix_exits_2(self, synth_file, tmp_path, run_cli, capsys,
+                                               case):
+        edit, line = self.MALFORMED[case]
+        out = tmp_path / "run"
+        assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        prepared = out / "prepare_encoded.csv"
+        if edit is None:
+            prepared.unlink()
+        else:
+            lines = prepared.read_text(encoding="utf-8").splitlines(keepends=True)
+            assert lines[3].startswith("#") and not lines[4].startswith("#")
+            prepared.write_text("".join(edit(lines)), encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the error
+            assert run_cli(["select", *_args(synth_file, out)]) == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("data error:")]
+        assert len(errors) == 1 and str(prepared) in errors[0], errors
+        if line is not None:
+            assert f"{prepared}: line {line}: " in errors[0]
+        assert not (out / "select_mask.txt").exists()
+
+    def test_prepared_matrix_byte_order_mark_is_skipped(self, synth_file, tmp_path, run_cli):
+        plain, marked = tmp_path / "a", tmp_path / "b"
+        for out in (plain, marked):
+            assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        prepared = marked / "prepare_encoded.csv"
+        prepared.write_bytes(b"\xef\xbb\xbf" + prepared.read_bytes())
+        for out in (plain, marked):
+            assert run_cli(["select", *_args(synth_file, out)]) == 0
+        assert (plain / "select_mask.txt").read_bytes() == (marked / "select_mask.txt").read_bytes()
 
     def test_no_plots_toggle(self, synth_file, tmp_path, run_cli):
         out = tmp_path / "run"
@@ -357,7 +428,8 @@ class TestExitCodes:
     def test_non_utf8_prepared_data_exits_2(self, synth_file, tmp_path, run_cli, capsys, stage):
         out = tmp_path / "run"
         assert run_cli(["prepare", *_args(synth_file, out)]) == 0
-        prepared = out / "prepare_data.csv"
+        # select reads the normalized matrix; evaluate re-encodes the records per fold.
+        prepared = out / {"select": "prepare_encoded.csv", "evaluate": "prepare_data.csv"}[stage]
         first, rest = prepared.read_bytes().split(b"\n", 1)
         prepared.write_bytes(first + b"\n# caf\xe9\n" + rest)
         capsys.readouterr()

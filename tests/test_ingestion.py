@@ -17,10 +17,13 @@ from swarmids.dataset import (
     CLASS_NAMES,
     N_FEATURES,
     Dataset,
+    apply_normalize,
     encode,
     encoded_lines,
     fit_encoding,
+    fit_normalize,
     parse_kdd,
+    read_encoded,
     to_columns,
 )
 from swarmids.errors import DataError, DataWarning, ParseError
@@ -226,3 +229,20 @@ def test_encoded_text_is_the_row_wise_repr():
     text = "".join(encoded_lines(dataset))
     assert text == expected
     assert "-0.0," in text and ",0.0," in text
+
+
+@pytest.mark.parametrize("corpus", ["synth", "awkward"])
+@pytest.mark.parametrize("subsample", ["0", "20"])
+def test_read_encoded_is_the_rederived_matrix(tmp_path, monkeypatch, synth_csv, corpus, subsample):
+    # The matrix select loads must be, bit for bit, the one the prepared records give.
+    data = synth_csv.encode("utf-8") if corpus == "synth" else awkward_corpus()
+    assert _prepare(tmp_path, monkeypatch, data, "--subsample", subsample) == 0
+    with open("out/prepare_data.csv", encoding="utf-8") as stream:
+        columns = to_columns(parse_kdd(stream))
+    raw = encode(columns, fit_encoding(columns))
+    expected = apply_normalize(raw, fit_normalize(raw))
+    with open("out/prepare_encoded.csv", encoding="utf-8") as stream:
+        loaded = read_encoded(stream, "prepare_encoded.csv")
+    assert loaded.rows.tobytes() == expected.rows.tobytes()
+    assert loaded.labels.tobytes() == expected.labels.tobytes()
+    assert loaded.n_rows == (len(columns) if subsample == "0" else 20)
