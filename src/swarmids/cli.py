@@ -30,7 +30,6 @@ from .classifier import SvmConfig
 from .dataset import (
     CLASS_NAMES,
     FEATURE_NAMES,
-    Record,
     apply_normalize,
     class_histogram,
     class_labels,
@@ -41,6 +40,7 @@ from .dataset import (
     fit_normalize,
     norm_stats_to_text,
     parse_kdd,
+    parse_labels,
     read_encoded,
     stratified_sample_indices,
     to_columns,
@@ -189,6 +189,7 @@ def _write(path: Path, text: str, lines: Iterable[str] = ()) -> None:
         stream.writelines(lines)
 
 
+_DATA_MISSING = "dataset file not found: {}"
 _PREPARED_MISSING = "prepared artifact missing: {} (run prepare first)"
 
 
@@ -223,28 +224,28 @@ def cmd_prepare(config: RunConfig) -> int:
 
     if not config.data:
         raise ConfigError("no dataset path given (use --data or a config file)")
-    records = _read(Path(config.data), "dataset file not found: {}", parse_kdd)
+    data = Path(config.data)
+    records = None
+    n = config.subsample
+    if n:
+        # The subsample is drawn from the attack names alone, and a second
+        # read keeps only the drawn records.
+        names = _read(data, _DATA_MISSING, parse_labels)
+        if not data.is_file():
+            raise DataError(f"{data}: --subsample reads it twice, so it must be a regular file")
+        if n < len(names):
+            seed = derive_seed(stage_seed, "subsample")
+            keep = stratified_sample_indices(class_labels(names), n, seed).tolist()
+            records = _read(data, _DATA_MISSING, partial(parse_kdd, keep=keep, labels=names))
+        elif names and n > len(names):
+            print(f"note: subsample {n} exceeds {len(names)} rows; keeping all", file=sys.stderr)
+        del names
+    if records is None:
+        records = _read(data, _DATA_MISSING, parse_kdd)
     if not records:
         raise DataError(f"no records in {config.data}")
     labels = class_labels([r.label for r in records])
-
-    n = config.subsample
-    if n and n < len(records):
-        keep = stratified_sample_indices(labels, n, derive_seed(stage_seed, "subsample")).tolist()
-        labels = labels[keep]
-        body = "\n".join([records[i].line for i in keep])
-        # Split fresh copies of the kept lines out of the body. A kept line
-        # left in place would pin the allocator pool it shares with the
-        # dropped lines around it, so the memory they free could not hold
-        # the split fields.
-        records = list(map(Record, body.split("\n"), [records[i].label for i in keep]))
-    else:
-        if n > len(records):
-            print(
-                f"note: subsample {n} exceeds {len(records)} rows; keeping all",
-                file=sys.stderr,
-            )
-        body = "\n".join([r.line for r in records])
+    body = "\n".join([r.line for r in records])
     # Each form dies once the next is built; calls go through names the benchmark patches.
     columns = to_columns(records)
     records.clear()

@@ -3,14 +3,18 @@ min-max normalization, and stratified sampling/folding.
 
 A parsed record stays one canonical text line until a stage encodes it;
 the stage splits the rows it encodes once into columns (``to_columns``),
-which is what fitting and encoding take. String-valued
-columns are detected from the data and encoded with deterministic
-first-occurrence ordinal codes. The attack-name to category mapping
-ships as a versioned table under ``data/``.
+which is what fitting and encoding take. To subsample, ``prepare`` reads
+the data twice: ``parse_labels`` checks every line and keeps only the
+attack names the sample is drawn from, and ``parse_kdd`` then keeps only
+the drawn records. String-valued columns are detected from the data and
+encoded with deterministic first-occurrence ordinal codes. The
+attack-name to category mapping ships as a versioned table under
+``data/``.
 """
 
 from __future__ import annotations
 
+import io
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -71,7 +75,8 @@ class Record(NamedTuple):
 @dataclass(frozen=True)
 class Columns:
     """Records split once into their 41 string feature columns, plus their
-    attack names; ``len`` is the row count."""
+    attack names; ``len`` is the row count. Equal values that ``to_columns``
+    split from one chunk of rows are one string object."""
 
     features: tuple[list[str], ...]
     labels: tuple[str, ...]
@@ -88,11 +93,28 @@ class Columns:
         )
 
 
+CHUNK_ROWS = 1024  # rows that to_columns splits at a time
+
+
 def to_columns(records: Sequence[Record]) -> Columns:
-    """Split each record's line once into 41 feature columns."""
-    # maxsplit keeps every row N_FEATURES + 1 wide: the features, then the tail.
-    fields = list(chain.from_iterable(r.line.split(",", N_FEATURES) for r in records))
-    features = tuple(fields[col::N_FEATURES + 1] for col in range(N_FEATURES))
+    """Split each record's line once into 41 feature columns.
+
+    The lines are split ``CHUNK_ROWS`` at a time. Within a chunk, equal
+    fields become one string object, found through a table of that
+    chunk's values, so repeated values (most of NSL-KDD) cost one string
+    per chunk rather than one per row. The table dies with its chunk, so
+    data whose every value is distinct costs only one chunk's table more.
+    """
+    features = tuple([] for _ in range(N_FEATURES))
+    for start in range(0, len(records), CHUNK_ROWS):
+        shared: dict[str, str] = {}
+        # maxsplit keeps every row N_FEATURES + 1 wide: the features, then the tail.
+        fields = list(chain.from_iterable(
+            r.line.split(",", N_FEATURES) for r in records[start:start + CHUNK_ROWS]
+        ))
+        for col, values in enumerate(features):
+            column = fields[col::N_FEATURES + 1]
+            values.extend(map(shared.setdefault, column, column))
     return Columns(features, tuple(r.label for r in records))
 
 
@@ -175,55 +197,107 @@ class NormStats:
         object.__setattr__(self, "maxs", maxs)
 
 
-def _canonical_tail(tail: str, line: str, line_no: int) -> tuple[str, str]:
+def _canonical_tail(tail: str, text: str, line_no: int) -> tuple[str, str]:
     """A record's trailing fields (attack name, optional difficulty) in
-    canonical form, and the attack name."""
+    canonical form, and the attack name; ``text`` is the stripped line."""
     name, comma, difficulty = tail.partition(",")
     label = name.lower()
     if comma:
         try:
             difficulty = str(int(difficulty))
         except ValueError:
-            raw = line.strip().rpartition(",")[2]
+            raw = text.rpartition(",")[2]
             raise ParseError(f"difficulty field is not an integer: {raw!r}", line_no) from None
     return label + comma + difficulty, label
 
 
-def parse_kdd(source: Iterable[str] | str) -> list[Record]:
+def _record_lines(source: Iterable[str] | str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each record line of ``source``.
+
+    One byte-order mark (U+FEFF) at the very start is skipped, and so are
+    blank lines and ``#`` comment lines. A string is split into lines as a
+    text file read splits them: at ``\\n``, ``\\r\\n`` and ``\\r`` only.
+    """
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
+    first = next(lines, "").removeprefix("\ufeff")
+    for line_no, line in enumerate(chain([first], lines), start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield line_no, text
+
+
+def _record(text: str, line_no: int, tails: dict[str, tuple[str, str]]) -> Record:
+    """The record on one stripped record line, checked and canonical. Only
+    a line holding whitespace is split, to strip its fields. ``tails``
+    holds the canonical form of each (attack name, difficulty) tail seen."""
+    n_fields = text.count(",") + 1
+    if n_fields not in (N_FEATURES + 1, N_FEATURES + 2):
+        raise ParseError(
+            f"expected {N_FEATURES + 1} or {N_FEATURES + 2} fields, got {n_fields}",
+            line_no,
+        )
+    line = text
+    if len(text.split(None, 1)) > 1:
+        line = ",".join(field.strip() for field in text.split(","))
+    cut = line.rindex(",")
+    if n_fields == N_FEATURES + 2:
+        cut = line.rindex(",", 0, cut)
+    tail = line[cut + 1:]
+    if tail not in tails:
+        tails[tail] = _canonical_tail(tail, text, line_no)
+    canonical, label = tails[tail]
+    if canonical != tail:
+        line = line[: cut + 1] + canonical
+    return Record(line, label)
+
+
+def parse_labels(source: Iterable[str] | str) -> list[str]:
+    """The attack name of every record, each line checked as ``parse_kdd``
+    checks it. With these a subsample is drawn before any record is kept."""
+    tails: dict[str, tuple[str, str]] = {}
+    return [_record(text, line_no, tails).label for line_no, text in _record_lines(source)]
+
+
+def parse_kdd(
+    source: Iterable[str] | str,
+    keep: Iterable[int] | None = None,
+    labels: Sequence[str] | None = None,
+) -> list[Record]:
     """Parse comma-separated NSL-KDD lines (42 or 43 fields) into records.
 
     Accepts an open text file, any iterable of lines, or a whole string.
     One byte-order mark (U+FEFF) at the very start is skipped. Blank lines
     and ``#`` comment lines are skipped. A 43rd field is the difficulty
-    score and must be an integer. Every line is checked, but only a line
-    holding whitespace is split here, to strip its fields.
+    score and must be an integer.
+
+    By default every line is checked and every record returned. With
+    ``keep`` (record indices, counted from 0 over records, not lines),
+    only those records are checked and returned, in file order; any other
+    line is only tested for being blank or a comment. ``labels`` must then
+    be what ``parse_labels`` read from the same data: a record count or a
+    kept attack name that differs from it raises ``DataError``, as the
+    data changed between the two reads.
     """
-    lines = iter(source.splitlines() if isinstance(source, str) else source)
-    first = next(lines, "").removeprefix("\ufeff")
-    records: list[Record] = []
     tails: dict[str, tuple[str, str]] = {}  # few distinct (name, difficulty) pairs
-    for line_no, line in enumerate(chain([first], lines), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        n_fields = text.count(",") + 1
-        if n_fields not in (N_FEATURES + 1, N_FEATURES + 2):
-            raise ParseError(
-                f"expected {N_FEATURES + 1} or {N_FEATURES + 2} fields, got {n_fields}",
-                line_no,
-            )
-        if len(text.split(None, 1)) > 1:
-            text = ",".join(field.strip() for field in text.split(","))
-        cut = text.rindex(",")
-        if n_fields == N_FEATURES + 2:
-            cut = text.rindex(",", 0, cut)
-        tail = text[cut + 1:]
-        if tail not in tails:
-            tails[tail] = _canonical_tail(tail, line, line_no)
-        canonical, label = tails[tail]
-        if canonical != tail:
-            text = text[: cut + 1] + canonical
-        records.append(Record(text, label))
+    lines = _record_lines(source)
+    if keep is None:
+        return [_record(text, line_no, tails) for line_no, text in lines]
+    wanted = set(keep)
+    records: list[Record] = []
+    index = -1
+    for index, (line_no, text) in enumerate(lines):
+        if index in wanted:
+            record = _record(text, line_no, tails)
+            if record.label != labels[index]:
+                raise DataError(
+                    f"line {line_no}: the file changed while it was being read "
+                    f"(the record was {labels[index]!r}, now {record.label!r})"
+                )
+            records.append(record)
+    if index + 1 != len(labels):
+        raise DataError(
+            f"the file changed while it was being read ({len(labels)} records, now {index + 1})"
+        )
     return records
 
 

@@ -1,5 +1,6 @@
 """Ingestion end to end: ``prepare`` bytes on an awkward corpus, and the
-order and text of ingestion errors.
+order and text of ingestion errors, the two reads of a subsample, and
+the column split.
 
 The digests were taken from ``prepare`` at commit 359293e, before
 ingestion became columnar, so any byte drift in parsing, encoding or the
@@ -7,13 +8,18 @@ artifact writers fails here.
 """
 
 import hashlib
+import io
+import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from swarmids import cli
 from swarmids.cli import main
 from swarmids.dataset import (
+    CHUNK_ROWS,
     CLASS_NAMES,
     N_FEATURES,
     Dataset,
@@ -23,6 +29,7 @@ from swarmids.dataset import (
     fit_encoding,
     fit_normalize,
     parse_kdd,
+    parse_labels,
     read_encoded,
     to_columns,
 )
@@ -216,6 +223,115 @@ class TestErrorOrder:
         assert "nan" not in (tmp_path / "out" / "prepare_data.csv").read_text()
         assert _prepare(tmp_path, monkeypatch, corpus, "--subsample", "0") == 2
         assert "non-finite value 'nan' in numeric column 4 (src_bytes), record 99" in capsys.readouterr().err
+
+
+class TestSubsampleReads:
+    """``prepare --subsample`` reads the data twice: the attack names of
+    every record, then only the drawn records."""
+
+    def test_kept_records_are_the_full_parse_at_the_drawn_indices(self):
+        # One mark, comment and blank lines, padded fields, upper-case
+        # names, 42- and 43-field rows.
+        text = BOM + awkward_corpus().decode("utf-8")
+        full = parse_kdd(text)
+        labels = parse_labels(io.StringIO(text))
+        assert labels == [r.label for r in full]
+        keep = [0, 1, 5, 17, 30, len(full) - 2, len(full) - 1]
+        kept = parse_kdd(io.StringIO(text), keep=keep, labels=labels)
+        assert kept == [full[i] for i in keep]
+        assert {len(r.line.split(",")) for r in kept} == {N_FEATURES + 1, N_FEATURES + 2}
+
+    def test_subsample_above_the_row_count_keeps_every_record(self, tmp_path, monkeypatch, capsys):
+        assert _prepare(tmp_path, monkeypatch, awkward_corpus(), "--subsample", "1000") == 0
+        assert "note: subsample 1000 exceeds 48 rows; keeping all" in capsys.readouterr().err
+        text = (tmp_path / "out" / "prepare_data.csv").read_text(encoding="utf-8")
+        rows = [line for line in text.splitlines() if not line.startswith("#")]
+        assert rows == [r.line for r in parse_kdd(awkward_corpus().decode("utf-8"))]
+
+    @pytest.mark.parametrize("bad, message", [
+        (",".join(["0"] * 40), "line 101: expected 42 or 43 fields, got 40"),
+        (_line("guess_passwd", difficulty="x"), "line 101: difficulty field is not an integer: 'x'"),
+    ])
+    def test_dropped_malformed_line_fails_before_any_artifact(self, tmp_path, monkeypatch, capsys,
+                                                              bad, message):
+        # The last line stands where the one R2L record would, which gets no
+        # place in a subsample of 10 (as in TestErrorOrder); it is still checked.
+        lines = [_line()] * 90 + [_line("neptune")] * 9 + ["# r2l", bad]
+        assert _prepare(tmp_path, monkeypatch, "\n".join(lines).encode(), "--subsample", "10") == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda lines: lines[:-1], "the file changed while it was being read (100 records, now 99)"),
+        (lambda lines: [line.replace(",normal,", ",back,") for line in lines],
+         "the file changed while it was being read (the record was 'normal', now 'back')"),
+    ])
+    def test_data_changed_between_the_reads_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                     change, message):
+        lines = [_line()] * 90 + [_line("neptune")] * 10
+        data = tmp_path / "corpus.csv"
+
+        def first_read(source):
+            labels = parse_labels(source)
+            data.write_text("\n".join(change(lines)), encoding="utf-8")
+            return labels
+
+        monkeypatch.setattr(cli, "parse_labels", first_read)
+        assert _prepare(tmp_path, monkeypatch, "\n".join(lines).encode(), "--subsample", "10") == 2
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_refused(self, tmp_path, monkeypatch, capsys):
+        # A pipe reads empty or blocks the second time; refuse it instead.
+        os.mkfifo(tmp_path / "pipe")
+        corpus = "\n".join([_line()] * 90 + [_line("neptune")] * 10)
+        writer = threading.Thread(target=(tmp_path / "pipe").write_text, args=(corpus,), daemon=True)
+        writer.start()
+        monkeypatch.chdir(tmp_path)
+        assert main(["prepare", "--data", "pipe", "--out", "out", "--subsample", "10"]) == 2
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert "data error: pipe: --subsample reads it twice, so it must be a regular file" in (
+            capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_string_splits_into_lines_as_a_file_read_does(tmp_path, separator):
+    # Only \n, \r\n and \r end a line of a text file; str.splitlines also
+    # breaks at these.
+    features = ["0"] * N_FEATURES
+    features[2] = f"ht{separator}tp"
+    text = "\r\n".join([_line(), _line(features=features), _line("smurf")]) + "\r"
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with path.open(encoding="utf-8") as stream:
+        from_file = parse_kdd(stream)
+    assert len(from_file) == 3
+    assert parse_kdd(text) == from_file == parse_kdd(io.StringIO(text, newline=None))
+    assert from_file[1].line.split(",")[2] == f"ht{separator}tp"
+
+
+def _naive_columns(lines):
+    rows = [line.split(",") for line in lines]
+    return [[row[col] for row in rows] for col in range(N_FEATURES)], [row[N_FEATURES] for row in rows]
+
+
+def test_column_split_is_the_per_line_split():
+    rng = np.random.default_rng(4)
+    lines = []
+    for i in range(CHUNK_ROWS + 1):
+        features = [str(v) for v in rng.integers(0, 4, N_FEATURES)]
+        features[1] = ("tcp", "udp", "icmp")[i % 3]
+        lines.append(_line(("normal", "smurf", "satan")[i % 3], features,
+                           difficulty=str(i % 22) if i % 2 else None))
+    columns = to_columns(parse_kdd("\n".join(lines)))
+    features, labels = _naive_columns(lines)
+    assert [list(values) for values in columns.features] == features
+    assert list(columns.labels) == labels
+    # Within a chunk, equal values of any column are one object.
+    chunk = [v for values in columns.features for v in values[:CHUNK_ROWS]]
+    assert len({id(v) for v in chunk}) == len(set(chunk))
 
 
 def test_encoded_text_is_the_row_wise_repr():

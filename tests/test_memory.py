@@ -1,15 +1,18 @@
 """Peak memory of ``prepare``: each ingestion representation is dropped
-once it is consumed, and subsampled rows are copied out of the parse.
+once it is consumed, a subsample keeps only the drawn records, and equal
+fields of one chunk of the column split share one string.
 
 The stage runs in a child process, which reports how far its peak resident
 set grew past what it had once the package was imported. On this 40,000-row
 corpus the growth was 160 MB at ``--subsample 0`` and 35 MB at
 ``--subsample 6000`` while every parsed record, the split columns and both
-matrices lived until the last artifact was written, and 101 and 19 MB with
-them dropped (Python 3.11, numpy 2.4, Linux x86-64). Each bound also fails
-one half of the change alone: keeping the records and columns through the
-encode read 115 MB at ``--subsample 0``, and keeping the kept lines in the
-parse's memory read 26 MB at ``--subsample 6000``.
+matrices lived until the last artifact was written; 101, 14.7 and 19.1 MB
+at ``--subsample 0``, ``1000`` and ``6000`` with them dropped but every
+record parsed and every field its own string; and 48.3, 6.5 and 14.2 MB
+with a labels-only first read and shared strings (Python 3.11, numpy 2.4,
+Linux x86-64). Each half of the last change fails a bound alone: the two
+reads without shared strings grew 100.6 MB at ``--subsample 0``, and the
+shared strings with a single read 14.8 MB at ``--subsample 1000``.
 """
 
 import os
@@ -53,7 +56,7 @@ def corpus(tmp_path_factory) -> Path:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize("subsample, bound_mb", [(0, 110.0), (6000, 23.0)])
+@pytest.mark.parametrize("subsample, bound_mb", [(0, 70.0), (1000, 10.0), (6000, 23.0)])
 def test_prepare_peak_memory_growth(corpus, tmp_path, subsample, bound_mb):
     src = str(Path(swarmids.__file__).resolve().parent.parent)
     env = {**os.environ,
