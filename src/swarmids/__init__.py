@@ -9,6 +9,7 @@ from .dataset import (
     CLASS_NAMES,
     FEATURE_NAMES,
     Dataset,
+    Encoded,
     EncodingTable,
     NormStats,
     Record,
@@ -30,6 +31,7 @@ __all__ = [
     "ConfusionCounts",
     "CvReport",
     "Dataset",
+    "Encoded",
     "EncodingTable",
     "FitnessBreakdown",
     "GoaConfig",

@@ -43,7 +43,6 @@ from .dataset import (
     parse_labels,
     read_encoded,
     stratified_sample_indices,
-    to_columns,
 )
 from .errors import ConfigError, DataError, SwarmidsError
 from .evaluation import METRIC_NAMES, cross_validate, fold_workers, report_to_json
@@ -244,27 +243,23 @@ def cmd_prepare(config: RunConfig) -> int:
         records = _read(data, _DATA_MISSING, parse_kdd)
     if not records:
         raise DataError(f"no records in {config.data}")
-    labels = class_labels([r.label for r in records])
-    body = "\n".join([r.line for r in records])
-    # Each form dies once the next is built; calls go through names the benchmark patches.
-    columns = to_columns(records)
-    records.clear()
-    encoding = fit_encoding(columns, fitted_on=f"prepare[{len(columns)} rows]")
-    raw = encode(columns, encoding)
-    del columns
+    # Calls go through names the benchmark patches. The encoded matrix is
+    # normalized in place, and the records live until prepare_data.csv is written.
+    encoding = fit_encoding(records, fitted_on=f"prepare[{len(records)} rows]")
+    raw = encode(records, encoding)
     stats = fit_normalize(raw)
     normalized = apply_normalize(raw, stats)
-    del raw
 
     _write(out / "prepare_config.txt", _meta_lines(meta) + config_to_text(config))
     _write(
         out / "prepare_data.csv",
-        _meta_lines({**meta, "rows": str(normalized.n_rows)}) + body + "\n",
+        _meta_lines({**meta, "rows": str(normalized.n_rows)}),
+        (r.line + "\n" for r in records),
     )
-    del body
+    del records
     _write(out / "prepare_encoding.txt", _meta_lines(meta) + encoding_to_text(encoding))
     _write(out / "prepare_norm_stats.txt", _meta_lines(meta) + norm_stats_to_text(stats))
-    histogram = class_histogram(labels)
+    histogram = class_histogram(normalized.labels)
     _write(
         out / "prepare_class_histogram.csv",
         _meta_lines(meta) + "class,count\n"

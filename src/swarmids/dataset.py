@@ -1,15 +1,15 @@
 """NSL-KDD ingestion: parsing, categorical encoding, label mapping,
 min-max normalization, and stratified sampling/folding.
 
-A parsed record stays one canonical text line until a stage encodes it;
-the stage splits the rows it encodes once into columns (``to_columns``),
-which is what fitting and encoding take. To subsample, ``prepare`` reads
-the data twice: ``parse_labels`` checks every line and keeps only the
-attack names the sample is drawn from, and ``parse_kdd`` then keeps only
-the drawn records. String-valued columns are detected from the data and
-encoded with deterministic first-occurrence ordinal codes. The
-attack-name to category mapping ships as a versioned table under
-``data/``.
+A parsed record stays one canonical text line until a stage encodes it.
+Fitting and encoding each split the lines ``CHUNK_ROWS`` records at a
+time, and ``encode`` fills one matrix that ``apply_normalize`` then scales
+in place. To subsample, ``prepare`` reads the data twice: ``parse_labels``
+checks every line and keeps only the attack names the sample is drawn
+from, and ``parse_kdd`` then keeps only the drawn records. String-valued
+columns are detected from the data and encoded with deterministic
+first-occurrence ordinal codes. The attack-name to category mapping ships
+as a versioned table under ``data/``.
 """
 
 from __future__ import annotations
@@ -72,50 +72,21 @@ class Record(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
-class Columns:
-    """Records split once into their 41 string feature columns, plus their
-    attack names; ``len`` is the row count. Equal values that ``to_columns``
-    split from one chunk of rows are one string object."""
-
-    features: tuple[list[str], ...]
-    labels: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def take(self, indices: np.ndarray) -> "Columns":
-        """The rows at ``indices``, sharing this split's strings."""
-        idx = np.asarray(indices, dtype=np.int64).tolist()
-        return Columns(
-            tuple([values[i] for i in idx] for values in self.features),
-            tuple([self.labels[i] for i in idx]),
-        )
+CHUNK_ROWS = 1024  # records that fitting, encoding and encoded_lines take at a time
 
 
-CHUNK_ROWS = 1024  # rows that to_columns splits at a time
-
-
-def to_columns(records: Sequence[Record]) -> Columns:
-    """Split each record's line once into 41 feature columns.
-
-    The lines are split ``CHUNK_ROWS`` at a time. Within a chunk, equal
-    fields become one string object, found through a table of that
-    chunk's values, so repeated values (most of NSL-KDD) cost one string
-    per chunk rather than one per row. The table dies with its chunk, so
-    data whose every value is distinct costs only one chunk's table more.
-    """
-    features = tuple([] for _ in range(N_FEATURES))
+def _chunks(records: Sequence[Record]) -> Iterator[tuple[int, list[list[str]]]]:
+    """(index of the first record, its 41 feature columns) for each
+    ``CHUNK_ROWS`` records, split from their lines; no more than one
+    chunk's fields exist at a time."""
     for start in range(0, len(records), CHUNK_ROWS):
-        shared: dict[str, str] = {}
-        # maxsplit keeps every row N_FEATURES + 1 wide: the features, then the tail.
-        fields = list(chain.from_iterable(
-            r.line.split(",", N_FEATURES) for r in records[start:start + CHUNK_ROWS]
-        ))
-        for col, values in enumerate(features):
-            column = fields[col::N_FEATURES + 1]
-            values.extend(map(shared.setdefault, column, column))
-    return Columns(features, tuple(r.label for r in records))
+        lines = [r.line for r in records[start:start + CHUNK_ROWS]]
+        fields = ",".join(lines).split(",")
+        if len(fields) % len(lines):  # some lines have a difficulty and some do not
+            # maxsplit keeps every row N_FEATURES + 1 wide: the features, then the tail.
+            fields = list(chain.from_iterable(line.split(",", N_FEATURES) for line in lines))
+        width = len(fields) // len(lines)
+        yield start, [fields[col::width] for col in range(N_FEATURES)]
 
 
 @dataclass(frozen=True)
@@ -179,6 +150,14 @@ class Dataset:
         """Materialize an index view as a new Dataset."""
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.rows[idx], self.labels[idx])
+
+
+class Encoded(NamedTuple):
+    """What ``encode`` returns: the unnormalized matrix, which the caller
+    owns and ``apply_normalize`` scales in place, and the class labels."""
+
+    rows: np.ndarray
+    labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -323,56 +302,81 @@ def class_labels(names: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, names), dtype=np.int64, count=len(names))
 
 
-def fit_encoding(columns: Columns, fitted_on: str = "unspecified") -> EncodingTable:
-    """Build first-occurrence ordinal code maps for string-valued columns."""
-    if not len(columns):
+def fit_encoding(records: Sequence[Record], fitted_on: str = "unspecified") -> EncodingTable:
+    """Build first-occurrence ordinal code maps for string-valued columns.
+
+    A column is categorical when it holds at least one non-numeric value.
+    The records are split ``CHUNK_ROWS`` at a time, and each chunk's
+    distinct values extend the codes. A column whose first non-number
+    comes after the first chunk is read again from the first record, so
+    its codes still count from there.
+    """
+    if not len(records):
         raise DataError("cannot fit an encoding on zero records")
-    # Categorical columns are the ones holding at least one non-numeric value.
     maps: dict[int, dict[str, int]] = {}
-    for col, values in enumerate(columns.features):
-        distinct = dict.fromkeys(values)
-        if not all(_is_float(v) for v in distinct):
-            maps[col] = {value: code for code, value in enumerate(distinct)}
-    return EncodingTable(columns=maps, fitted_on=fitted_on)
+    for start, columns in _chunks(records):
+        for col, values in enumerate(columns):
+            mapping = maps.get(col)
+            if mapping is None:
+                if all(map(_is_float, set(values))):
+                    continue
+                mapping = maps[col] = {}
+                values = chain((r.line.split(",", col + 1)[col] for r in records[:start]), values)
+            for value in dict.fromkeys(values):
+                mapping.setdefault(value, len(mapping))
+    return EncodingTable(columns=dict(sorted(maps.items())), fitted_on=fitted_on)
 
 
-def encode(columns: Columns, table: EncodingTable) -> Dataset:
-    """Encode split records to a numeric matrix (unnormalized) plus class labels."""
-    rows = np.empty((len(columns), N_FEATURES), dtype=np.float64)
-    for col, raw in enumerate(columns.features):
-        mapping = table.columns.get(col)
-        if mapping is not None:
-            unseen = len(mapping)
-            rows[:, col] = [mapping.get(v, unseen) for v in raw]
-        else:
+def encode(records: Sequence[Record], table: EncodingTable) -> Encoded:
+    """Encode records to a numeric matrix (unnormalized) plus class labels.
+
+    The matrix is allocated once and filled ``CHUNK_ROWS`` records at a
+    time; an error names the record's index in ``records``.
+    """
+    labels = class_labels([r.label for r in records])
+    rows = np.empty((len(records), N_FEATURES), dtype=np.float64)
+    for start, columns in _chunks(records):
+        block = rows[start:start + len(columns[0])]
+        for col, values in enumerate(columns):
+            mapping = table.columns.get(col)
+            if mapping is not None:
+                unseen = len(mapping)
+                block[:, col] = [mapping.get(v, unseen) for v in values]
+                continue
             try:
-                rows[:, col] = np.asarray(raw, dtype=np.float64)
+                block[:, col] = np.asarray(values, dtype=np.float64)
             except ValueError:
-                bad = next(i for i, v in enumerate(raw) if not _is_float(v))
+                bad = next(i for i, v in enumerate(values) if not _is_float(v))
                 raise DataError(
-                    f"non-numeric value {raw[bad]!r} in numeric column "
-                    f"{col} ({FEATURE_NAMES[col]}), record {bad}"
+                    f"non-numeric value {values[bad]!r} in numeric column "
+                    f"{col} ({FEATURE_NAMES[col]}), record {start + bad}"
                 ) from None
-    finite = np.isfinite(rows)
-    if not finite.all():
-        record, col = (int(i) for i in np.argwhere(~finite)[0])
-        raise DataError(
-            f"non-finite value {columns.features[col][record]!r} in numeric column "
-            f"{col} ({FEATURE_NAMES[col]}), record {record}"
-        )
-    return Dataset(rows, class_labels(columns.labels))
+        finite = np.isfinite(block)
+        if not finite.all():
+            record, col = (int(i) for i in np.argwhere(~finite)[0])
+            raise DataError(
+                f"non-finite value {columns[col][record]!r} in numeric column "
+                f"{col} ({FEATURE_NAMES[col]}), record {start + record}"
+            )
+    return Encoded(rows, labels)
 
 
-def fit_normalize(dataset: Dataset) -> NormStats:
+def fit_normalize(dataset: Dataset | Encoded) -> NormStats:
     """Fit per-feature min/max. Call on training rows only."""
     return NormStats(dataset.rows.min(axis=0), dataset.rows.max(axis=0))
 
 
-def apply_normalize(dataset: Dataset, stats: NormStats) -> Dataset:
-    """Min-max scale to [0, 1] with clipping; degenerate features map to 0."""
+def apply_normalize(dataset: Dataset | Encoded, stats: NormStats) -> Dataset:
+    """Min-max scale to [0, 1] with clipping; degenerate features map to 0.
+
+    An ``Encoded`` matrix is scaled in place and becomes the returned
+    ``Dataset``'s read-only rows, so it can be normalized only once. A
+    ``Dataset``'s rows are copied first and stay as they were.
+    """
     span = stats.maxs - stats.mins
     live = span > 0
-    scaled = dataset.rows - stats.mins  # the one new matrix; the rest is in place
+    scaled = dataset.rows if isinstance(dataset, Encoded) else dataset.rows.copy()
+    scaled -= stats.mins
     scaled /= np.where(live, span, 1.0)
     scaled[:, ~live] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
@@ -468,19 +472,24 @@ def encoding_to_text(table: EncodingTable) -> str:
 
 def encoded_lines(dataset: Dataset) -> Iterator[str]:
     """One CSV line per row, newline included: every value's float repr,
-    then the label index. A line is joined only when it is consumed, so a
-    writer never holds the whole text.
+    then the label index. Lines are formatted ``CHUNK_ROWS`` rows at a
+    time as they are consumed, so a writer never holds the whole text.
 
-    Formatted column by column; each distinct value of a column (by bit
-    pattern, so -0.0 and 0.0 stay apart) goes through ``repr`` once.
+    Each distinct value of a column (by bit pattern, so -0.0 and 0.0 stay
+    apart) goes through ``repr`` once.
     """
     columns = []
     for values in dataset.rows.T:
         bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
         texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        columns.append(texts[inverse].tolist())
-    columns.append([f"{label}\n" for label in dataset.labels.tolist()])
-    return map(",".join, zip(*columns))
+        # The smallest index type keeps the rows' value indices a fraction of the matrix.
+        columns.append((texts, inverse.astype(np.min_scalar_type(len(bits)))))
+    labels = dataset.labels.tolist()
+    for start in range(0, dataset.n_rows, CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        chunk = [texts[inverse[start:stop]].tolist() for texts, inverse in columns]
+        chunk.append([f"{label}\n" for label in labels[start:stop]])
+        yield from map(",".join, zip(*chunk))
 
 
 def read_encoded(lines: Iterable[str], name: str) -> Dataset:

@@ -29,7 +29,6 @@ from .confusion import (
 )
 from .dataset import (
     CLASS_NAMES,
-    Columns,
     Record,
     apply_normalize,
     check_labels,
@@ -38,7 +37,6 @@ from .dataset import (
     fit_encoding,
     fit_normalize,
     stratified_fold_indices,
-    to_columns,
 )
 from .errors import ConfigError, DataError
 from .optimizer import GoaConfig, mask_to_bitstring, run
@@ -193,7 +191,7 @@ AuditHook = Callable[[str, int, np.ndarray], None]
 
 def _run_fold(
     fold: int,
-    columns: Columns,
+    records: Sequence[Record],
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     goa_config: GoaConfig,
@@ -204,15 +202,14 @@ def _run_fold(
 ) -> FoldReport:
     started = time.perf_counter()
     fold_seed = derive_seed(seed, "fold", fold)
-    train_rows = columns.take(train_idx)
+    train_rows = [records[i] for i in train_idx.tolist()]
     encoding = fit_encoding(train_rows, fitted_on=f"fold{fold}-train")
     audit("encoding_fit", fold, train_idx)
     train_raw = encode(train_rows, encoding)
     stats = fit_normalize(train_raw)
     audit("normalize_fit", fold, train_idx)
     train_ds = apply_normalize(train_raw, stats)
-    test_ds = apply_normalize(encode(columns.take(test_idx), encoding), stats)
-    del train_rows, train_raw  # free them before the search, the fold's longest part
+    test_ds = apply_normalize(encode([records[i] for i in test_idx.tolist()], encoding), stats)
 
     objective = WrapperObjective(
         train_ds,
@@ -263,11 +260,11 @@ def _start_worker(*inputs) -> None:
 def _fold_job(fold: int, inputs: tuple = ()) -> tuple[FoldReport, list]:
     """Run fold ``fold`` on ``inputs`` (a worker's own by default); return
     its report and its audit events in order."""
-    columns, folds, goa_config, svm_config, seed, fitness_epochs = inputs or _worker_inputs
+    records, folds, goa_config, svm_config, seed, fitness_epochs = inputs or _worker_inputs
     train_idx, test_idx = folds[fold]
     events: list = []
     report = _run_fold(
-        fold, columns, train_idx, test_idx, goa_config, svm_config, seed, fitness_epochs,
+        fold, records, train_idx, test_idx, goa_config, svm_config, seed, fitness_epochs,
         lambda *event: events.append(event),
     )
     return report, events
@@ -307,9 +304,9 @@ def cross_validate(
     raises.
     """
     workers = fold_workers(threads, k)
-    columns = to_columns(records)  # split once; each fold takes its rows from it
-    folds = stratified_fold_indices(class_labels(columns.labels), k, derive_seed(seed, "folds"))
-    inputs = (columns, folds, goa_config, svm_config, seed, fitness_epochs)
+    labels = class_labels([r.label for r in records])
+    folds = stratified_fold_indices(labels, k, derive_seed(seed, "folds"))
+    inputs = (records, folds, goa_config, svm_config, seed, fitness_epochs)
 
     pool = None
     if workers == 1:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 WIDTH = 720
 HEIGHT = 480
@@ -19,6 +18,14 @@ MARGIN_BOTTOM = 72
 
 _PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 _PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped for XML, in the order
+    ``xml.sax.saxutils.escape`` replaces them. That module is not imported:
+    it pulls ``urllib.request``, ``http.client``, ``email``, ``ssl`` and
+    ``socket`` into every process that draws a chart or imports the CLI."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(value: float) -> str:
@@ -52,11 +59,11 @@ def _header(title: str, meta: Mapping[str, str] | None) -> list[str]:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
     ]
     for key, value in (meta or {}).items():
-        lines.append(f"<!-- {escape(str(key))}={escape(str(value))} -->")
+        lines.append(f"<!-- {_escape(str(key))}={_escape(str(value))} -->")
     lines.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     lines.append(
         f'<text x="{WIDTH / 2:g}" y="30" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="18">{escape(title)}</text>'
+        f'font-family="sans-serif" font-size="18">{_escape(title)}</text>'
     )
     return lines
 
@@ -70,12 +77,12 @@ def _axes(lines: list[str], x_label: str, y_label: str) -> None:
     )
     lines.append(
         f'<text x="{(x0 + x1) / 2:g}" y="{HEIGHT - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="14">{_escape(x_label)}</text>'
     )
     lines.append(
         f'<text x="22" y="{(y0 + y1) / 2:g}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 22 {(y0 + y1) / 2:g})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 22 {(y0 + y1) / 2:g})">{_escape(y_label)}</text>'
     )
 
 
@@ -184,7 +191,7 @@ def bar_chart(
         lines.append(
             f'<text x="{x + bar_w / 2:.2f}" y="{HEIGHT - MARGIN_BOTTOM + 20}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(label)}</text>"
+            f"{_escape(label)}</text>"
         )
     _axes(lines, "", y_label)
     lines.append("</svg>")

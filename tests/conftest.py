@@ -8,9 +8,7 @@ from pathlib import Path
 import pytest
 
 from swarmids._kernels import _LIBRARY, load_compiled
-from swarmids.dataset import (
-    apply_normalize, encode, fit_encoding, fit_normalize, parse_kdd, to_columns,
-)
+from swarmids.dataset import apply_normalize, encode, fit_encoding, fit_normalize, parse_kdd
 
 from _synth import make_kdd_csv
 
@@ -93,8 +91,7 @@ def synth_records(synth_csv):
 
 @pytest.fixture(scope="session")
 def synth_dataset(synth_records):
-    columns = to_columns(synth_records)
-    raw = encode(columns, fit_encoding(columns, fitted_on="test-synth"))
+    raw = encode(synth_records, fit_encoding(synth_records, fitted_on="test-synth"))
     return apply_normalize(raw, fit_normalize(raw))
 
 

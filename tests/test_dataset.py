@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmids.dataset import (
+    CHUNK_ROWS,
     CLASS_NAMES,
     N_FEATURES,
     Dataset,
@@ -23,7 +24,6 @@ from swarmids.dataset import (
     parse_kdd,
     stratified_fold_indices,
     stratified_sample_indices,
-    to_columns,
 )
 from swarmids.errors import DataError, DataWarning, ParseError, UnknownLabelError
 
@@ -103,66 +103,65 @@ class TestLabels:
             Dataset(np.zeros((20, 3)), labels)
 
 
-def _columns_with(values, column=1):
-    """Split records whose ``column`` holds ``values``, one per record."""
+def _records_with(values, column=1):
+    """Records whose ``column`` holds ``values``, one per record."""
     records = []
     for v in values:
         features = ["0"] * N_FEATURES
         features[column] = v
         records.append(parse_kdd(_line(features))[0])
-    return to_columns(records)
+    return records
 
 
 class TestEncoding:
     def test_first_occurrence_codes(self):
-        table = fit_encoding(_columns_with(["tcp", "udp", "tcp"]))
+        table = fit_encoding(_records_with(["tcp", "udp", "tcp"]))
         assert table.columns[1] == {"tcp": 0, "udp": 1}
 
     def test_single_value_column(self):
-        table = fit_encoding(_columns_with(["icmp"]))
+        table = fit_encoding(_records_with(["icmp"]))
         assert table.columns[1] == {"icmp": 0}
 
     def test_numeric_columns_not_encoded(self):
-        table = fit_encoding(_columns_with(["1.5", "2", "3e4"]))
+        table = fit_encoding(_records_with(["1.5", "2", "3e4"]))
         assert 1 not in table.columns
 
     def test_empty_records_rejected(self):
         with pytest.raises(DataError):
-            fit_encoding(to_columns([]))
+            fit_encoding([])
 
     def test_encode_lookup_and_numeric_passthrough(self):
-        columns = _columns_with(["tcp", "udp"])
-        table = fit_encoding(columns)
-        ds = encode(columns, table)
+        records = _records_with(["tcp", "udp"])
+        table = fit_encoding(records)
+        ds = encode(records, table)
         assert ds.rows[0, 1] == 0.0 and ds.rows[1, 1] == 1.0
         features = ["491"] + ["x"] + ["0"] * 39
-        one = to_columns(parse_kdd(_line(features)))
+        one = parse_kdd(_line(features))
         ds2 = encode(one, fit_encoding(one))
         assert ds2.rows[0, 0] == 491.0
 
     def test_unseen_value_gets_reserved_code(self):
-        train = _columns_with(["tcp", "udp"])
+        train = _records_with(["tcp", "udp"])
         table = fit_encoding(train)
-        unseen = _columns_with(["sctp"])
+        unseen = _records_with(["sctp"])
         ds = encode(unseen, table)
         assert ds.rows[0, 1] == 2.0  # == len(table.columns[1])
 
     def test_encoding_stable(self, synth_records):
-        columns = to_columns(synth_records)
-        table = fit_encoding(columns)
-        a = encode(columns, table)
-        b = encode(columns, table)
+        table = fit_encoding(synth_records)
+        a = encode(synth_records, table)
+        b = encode(synth_records, table)
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.labels, b.labels)
 
     def test_round_trip_decode(self, synth_records):
         # Codes are 0..n-1 without repeats, so every code names one value.
-        table = fit_encoding(to_columns(synth_records))
+        table = fit_encoding(synth_records)
         for mapping in table.columns.values():
             assert sorted(mapping.values()) == list(range(len(mapping)))
 
     def test_artifact_round_trip(self, synth_records):
-        table = fit_encoding(to_columns(synth_records), fitted_on="test")
+        table = fit_encoding(synth_records, fitted_on="test")
         lines = encoding_to_text(table).splitlines()
         assert lines[0] == "fitted_on=test"
         codes = {}
@@ -173,18 +172,34 @@ class TestEncoding:
                 codes.setdefault(int(col), {})[name] = int(value)
         assert codes == {c: dict(m) for c, m in table.columns.items()}
 
-    def test_taken_columns_match_a_split_of_the_same_rows(self, synth_records):
-        idx = np.array([5, 0, 17, 17, 3])
-        taken = to_columns(synth_records).take(idx)
-        assert taken == to_columns([synth_records[i] for i in idx])
-        assert len(taken) == 5
+    def test_taken_records_encode_to_the_taken_rows(self, synth_records):
+        # A fold encodes the records it takes; their rows must not depend on
+        # where the chunk boundaries fall.
+        records = synth_records * (2 * CHUNK_ROWS // len(synth_records) + 1)
+        table = fit_encoding(records)
+        idx = np.array([5, 0, CHUNK_ROWS + 17, 17, 3, 2 * CHUNK_ROWS + 1, 3])
+        taken = encode([records[i] for i in idx], table)
+        whole = encode(records, table)
+        assert taken.rows.tobytes() == whole.rows[idx].tobytes()
+        assert taken.labels.tobytes() == whole.labels[idx].tobytes()
+
+    def test_codes_follow_first_occurrence_across_chunks(self):
+        # Column 0 is numeric for the first chunk and then holds strings, so
+        # its codes count from record 0, not from the first string.
+        values = [str(i % 7) for i in range(CHUNK_ROWS)] + ["x", "3", "y", "x", "0"]
+        records = _records_with(values, column=0)
+        table = fit_encoding(records)
+        codes = [(str(i), i) for i in range(7)] + [("x", 7), ("y", 8)]
+        assert list(table.columns[0].items()) == codes
+        assert encode(records, table).rows[:, 0].tolist() == [
+            float(table.columns[0][v]) for v in values
+        ]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_rejected(self, value):
         records = parse_kdd("\n".join([_line(), _line([value] + ["0"] * (N_FEATURES - 1))]))
-        columns = to_columns(records)
         with pytest.raises(DataError, match=rf"'{value}'.*column 0 \(duration\), record 1"):
-            encode(columns, fit_encoding(columns))
+            encode(records, fit_encoding(records))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_dataset_rejects_non_finite_rows(self, value):
@@ -352,7 +367,7 @@ class TestRealNslKdd:
             map_label(record.label)
 
     def test_protocol_column_has_three_codes(self, real_records):
-        table = fit_encoding(to_columns(real_records))
+        table = fit_encoding(real_records)
         assert len(table.columns[1]) == 3
 
     def test_ten_fold_sizes(self, real_records):

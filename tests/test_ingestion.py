@@ -28,10 +28,10 @@ from swarmids.dataset import (
     encoded_lines,
     fit_encoding,
     fit_normalize,
+    map_label,
     parse_kdd,
     parse_labels,
     read_encoded,
-    to_columns,
 )
 from swarmids.errors import DataError, DataWarning, ParseError
 
@@ -193,24 +193,26 @@ class TestErrorOrder:
         assert err.value.line_no == 3
         assert str(err.value) == f"line 3: difficulty field is not an integer: {difficulty!r}"
 
+    @pytest.mark.parametrize("at", [2, CHUNK_ROWS + 3])
     @pytest.mark.parametrize(
         "value, message",
         [
-            ("abc", "non-numeric value 'abc' in numeric column 4 (src_bytes), record 2"),
-            ("\tinf ", "non-finite value 'inf' in numeric column 4 (src_bytes), record 2"),
-            ("nan", "non-finite value 'nan' in numeric column 4 (src_bytes), record 2"),
+            ("abc", "non-numeric value 'abc' in numeric column 4 (src_bytes), record {at}"),
+            ("\tinf ", "non-finite value 'inf' in numeric column 4 (src_bytes), record {at}"),
+            ("nan", "non-finite value 'nan' in numeric column 4 (src_bytes), record {at}"),
         ],
     )
-    def test_numeric_error_names_column_and_encoded_record(self, value, message):
-        records = parse_kdd("\n".join(_line() for _ in range(8)))
-        table = fit_encoding(to_columns(records))
+    def test_numeric_error_names_column_and_encoded_record(self, value, message, at):
+        records = parse_kdd("\n".join(_line() for _ in range(6 + at)))
+        table = fit_encoding(records)
         bad = ["0"] * N_FEATURES
         bad[4] = value
         records += parse_kdd(_line(features=bad))
-        # Record 8 of the parse is record 2 of the rows being encoded.
+        # Record 6 + at of the parse is record ``at`` of the rows being encoded,
+        # past the first chunk for the second ``at``.
         with pytest.raises(DataError) as err:
-            encode(to_columns(records[6:]), table)
-        assert str(err.value) == message
+            encode(records[6:], table)
+        assert str(err.value) == message.format(at=at)
 
     def test_rows_dropped_by_subsample_are_not_checked(self, tmp_path, monkeypatch, capsys):
         # 10 of 90 Normal, 9 DoS and 1 R2L rows: the largest-remainder split
@@ -312,12 +314,9 @@ def test_string_splits_into_lines_as_a_file_read_does(tmp_path, separator):
     assert from_file[1].line.split(",")[2] == f"ht{separator}tp"
 
 
-def _naive_columns(lines):
-    rows = [line.split(",") for line in lines]
-    return [[row[col] for row in rows] for col in range(N_FEATURES)], [row[N_FEATURES] for row in rows]
-
-
 def test_column_split_is_the_per_line_split():
+    # Fitting and encoding split the lines a chunk at a time; the matrix and
+    # the codes must be those of a split of each line on its own.
     rng = np.random.default_rng(4)
     lines = []
     for i in range(CHUNK_ROWS + 1):
@@ -325,19 +324,25 @@ def test_column_split_is_the_per_line_split():
         features[1] = ("tcp", "udp", "icmp")[i % 3]
         lines.append(_line(("normal", "smurf", "satan")[i % 3], features,
                            difficulty=str(i % 22) if i % 2 else None))
-    columns = to_columns(parse_kdd("\n".join(lines)))
-    features, labels = _naive_columns(lines)
-    assert [list(values) for values in columns.features] == features
-    assert list(columns.labels) == labels
-    # Within a chunk, equal values of any column are one object.
-    chunk = [v for values in columns.features for v in values[:CHUNK_ROWS]]
-    assert len({id(v) for v in chunk}) == len(set(chunk))
+    records = parse_kdd("\n".join(lines))
+    table = fit_encoding(records)
+    encoded = encode(records, table)
+    rows = [line.split(",") for line in lines]
+    assert table.columns == {1: {"tcp": 0, "udp": 1, "icmp": 2}}
+    expected = [[table.columns[1][v] if col == 1 else float(v)
+                 for col, v in enumerate(row[:N_FEATURES])] for row in rows]
+    assert encoded.rows.tolist() == expected
+    assert encoded.labels.tolist() == [map_label(row[N_FEATURES]) for row in rows]
 
 
 def test_encoded_text_is_the_row_wise_repr():
+    # More rows than a chunk, and a column with more distinct values than a
+    # one-byte index holds.
+    n = CHUNK_ROWS + 60
     rng = np.random.default_rng(0)
-    rows = rng.choice([0.0, -0.0, 0.1, 1 / 3, 1.0, 5e-324, 0.30000000000000004], size=(60, 5))
-    dataset = Dataset(rows, rng.integers(0, len(CLASS_NAMES), size=60))
+    rows = rng.choice([0.0, -0.0, 0.1, 1 / 3, 1.0, 5e-324, 0.30000000000000004], size=(n, 5))
+    rows[:, 3] = rng.random(n)
+    dataset = Dataset(rows, rng.integers(0, len(CLASS_NAMES), size=n))
     expected = "".join(
         ",".join(repr(float(v)) for v in row) + f",{label}\n"
         for row, label in zip(dataset.rows, dataset.labels)
@@ -354,11 +359,11 @@ def test_read_encoded_is_the_rederived_matrix(tmp_path, monkeypatch, synth_csv, 
     data = synth_csv.encode("utf-8") if corpus == "synth" else awkward_corpus()
     assert _prepare(tmp_path, monkeypatch, data, "--subsample", subsample) == 0
     with open("out/prepare_data.csv", encoding="utf-8") as stream:
-        columns = to_columns(parse_kdd(stream))
-    raw = encode(columns, fit_encoding(columns))
+        records = parse_kdd(stream)
+    raw = encode(records, fit_encoding(records))
     expected = apply_normalize(raw, fit_normalize(raw))
     with open("out/prepare_encoded.csv", encoding="utf-8") as stream:
         loaded = read_encoded(stream, "prepare_encoded.csv")
     assert loaded.rows.tobytes() == expected.rows.tobytes()
     assert loaded.labels.tobytes() == expected.labels.tobytes()
-    assert loaded.n_rows == (len(columns) if subsample == "0" else 20)
+    assert loaded.n_rows == (len(records) if subsample == "0" else 20)

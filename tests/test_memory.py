@@ -1,6 +1,7 @@
 """Peak memory of ``prepare``: each ingestion representation is dropped
-once it is consumed, a subsample keeps only the drawn records, and equal
-fields of one chunk of the column split share one string.
+once it is consumed, a subsample keeps only the drawn records, fitting and
+encoding split only one chunk of the records at a time, and the encoded
+matrix is normalized in place.
 
 The stage runs in a child process, which reports how far its peak resident
 set grew past what it had once the package was imported. On this 40,000-row
@@ -8,11 +9,17 @@ corpus the growth was 160 MB at ``--subsample 0`` and 35 MB at
 ``--subsample 6000`` while every parsed record, the split columns and both
 matrices lived until the last artifact was written; 101, 14.7 and 19.1 MB
 at ``--subsample 0``, ``1000`` and ``6000`` with them dropped but every
-record parsed and every field its own string; and 48.3, 6.5 and 14.2 MB
-with a labels-only first read and shared strings (Python 3.11, numpy 2.4,
-Linux x86-64). Each half of the last change fails a bound alone: the two
-reads without shared strings grew 100.6 MB at ``--subsample 0``, and the
-shared strings with a single read 14.8 MB at ``--subsample 1000``.
+record parsed and every field its own string; 48.3, 6.5 and 14.2 MB with a
+labels-only first read and the columns' repeated strings shared; and
+29.3–29.4, 6.0 and 11.4–12.2 MB with no string columns and the matrix
+normalized in place (Python 3.11, numpy 2.4, Linux x86-64). Each part of
+the last change fails a bound alone: encoding from whole split columns grew
+98.5 MB at ``--subsample 0`` and 18.2 MB at ``--subsample 6000``, and a
+normalize into a second matrix 41.9 MB at ``--subsample 0``.
+
+The bounds leave about 5.6 MB (``0``), 4.0 MB (``1000``) and 2.8 MB
+(``6000``) over the growth measured here. ``1000`` guards the labels-only
+first read, which a single read of every record breaks (14.8 MB).
 """
 
 import os
@@ -56,7 +63,7 @@ def corpus(tmp_path_factory) -> Path:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize("subsample, bound_mb", [(0, 70.0), (1000, 10.0), (6000, 23.0)])
+@pytest.mark.parametrize("subsample, bound_mb", [(0, 35.0), (1000, 10.0), (6000, 15.0)])
 def test_prepare_peak_memory_growth(corpus, tmp_path, subsample, bound_mb):
     src = str(Path(swarmids.__file__).resolve().parent.parent)
     env = {**os.environ,

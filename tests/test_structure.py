@@ -2,11 +2,15 @@
 import graph has no cycle, no module reads the environment, the class
 list lives only in ``dataset.CLASS_NAMES``, and the classifier calls no
 BLAS. Also the kernel interface: one SGD function per backend, a C
-kernel that is plain C, and the names the benchmark patches or calls."""
+kernel that is plain C, and the names the benchmark patches or calls;
+and what importing the CLI loads."""
 
 import ast
 import ctypes
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,3 +207,22 @@ def test_benchmark_names_still_resolve():
         w = np.zeros(2)
         b, t = epoch(np.eye(2), np.array([1.0, -1.0]), np.arange(2), w, 0.0, 0.5, 2.0, 0)
         assert isinstance(b, float) and t == 2 and w.any()
+
+
+# Standard-library network and mail modules: about 3 MB and 50 ms of import
+# that no stage uses (``xml.sax.saxutils`` pulls them all in).
+NETWORK_MODULES = ("urllib.request", "http.client", "email", "ssl", "socket")
+
+
+def test_cli_import_loads_no_network_modules():
+    src = str(PACKAGE.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, swarmids.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "swarmids.cli" in loaded
+    assert not loaded & set(NETWORK_MODULES), sorted(loaded & set(NETWORK_MODULES))
