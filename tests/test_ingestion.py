@@ -214,6 +214,24 @@ class TestErrorOrder:
             encode(records[6:], table)
         assert str(err.value) == message.format(at=at)
 
+    def test_first_failing_chunk_is_reported(self):
+        # The records are checked a chunk at a time, so a non-finite value in a
+        # high column of the first chunk wins over a non-numeric value in a
+        # lower column of the second.
+        records = parse_kdd("\n".join(_line() for _ in range(CHUNK_ROWS + 8)))
+        table = fit_encoding(records)
+        non_finite = ["0"] * N_FEATURES
+        non_finite[40] = "inf"
+        non_numeric = ["0"] * N_FEATURES
+        non_numeric[4] = "abc"
+        records[1] = parse_kdd(_line(features=non_finite))[0]
+        records[CHUNK_ROWS + 2] = parse_kdd(_line(features=non_numeric))[0]
+        with pytest.raises(DataError) as err:
+            encode(records, table)
+        assert str(err.value) == (
+            "non-finite value 'inf' in numeric column 40 (dst_host_srv_rerror_rate), record 1"
+        )
+
     def test_rows_dropped_by_subsample_are_not_checked(self, tmp_path, monkeypatch, capsys):
         # 10 of 90 Normal, 9 DoS and 1 R2L rows: the largest-remainder split
         # gives the R2L row no place, so its non-finite value is never encoded.
