@@ -2,11 +2,14 @@
 min-max normalization, and stratified sampling/folding.
 
 A parsed record stays one canonical text line until a stage encodes it.
-Fitting and encoding each split the lines ``CHUNK_ROWS`` records at a
-time, and ``encode`` fills one matrix that ``apply_normalize`` then scales
-in place. To subsample, ``prepare`` reads the data twice: ``parse_labels``
-checks every line and keeps only the attack names the sample is drawn
-from, and ``parse_kdd`` then keeps only the drawn records. String-valued
+Fitting and encoding each read the lines ``CHUNK_ROWS`` records at a
+time, the numbers with ``np.loadtxt``, and ``encode`` fills one matrix
+that ``apply_normalize`` then scales in place. To subsample, ``prepare``
+reads the data twice: ``parse_labels`` checks every line and keeps only
+the attack names the sample is drawn from, and ``parse_kdd`` then keeps
+only the drawn records. Both take the source in blocks of whole lines; a
+block that a numpy pass proves plain (``_scan``) needs no Python per
+line, and ``_record`` checks every line of any other. String-valued
 columns are detected from the data and encoded with deterministic
 first-occurrence ordinal codes. The attack-name to category mapping ships
 as a versioned table under ``data/``.
@@ -19,10 +22,11 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DataWarning, ParseError, UnknownLabelError
 
@@ -75,15 +79,44 @@ class Record(NamedTuple):
 CHUNK_ROWS = 1024  # records that fitting, encoding and encoded_lines take at a time
 
 
-def _chunks(records: Sequence[Record]) -> Iterator[tuple[int, list[list[str]]]]:
-    """(index of the first record, its 41 feature columns) for each
-    ``CHUNK_ROWS`` records, split from their lines; no more than one
-    chunk's fields exist at a time."""
-    width = N_FEATURES + 1  # maxsplit leaves the features, then the label and any difficulty
+def _chunks(records: Sequence[Record]) -> Iterator[tuple[int, list[str]]]:
+    """(index of the first record, their lines) for each ``CHUNK_ROWS`` records."""
     for start in range(0, len(records), CHUNK_ROWS):
-        chunk = records[start:start + CHUNK_ROWS]
-        fields = list(chain.from_iterable(r.line.split(",", N_FEATURES) for r in chunk))
-        yield start, [fields[col::width] for col in range(N_FEATURES)]
+        yield start, [r.line for r in records[start:start + CHUNK_ROWS]]
+
+
+def _columns(lines: Sequence[str], top: int) -> list[list[str]]:
+    """The first ``top`` fields of each of ``lines`` (each has more), as columns."""
+    fields = list(chain.from_iterable(line.split(",", top) for line in lines))
+    return [fields[col::top + 1] for col in range(top)]
+
+
+_PADDING = "\x1c\x1d\x1e\x1f"  # np.loadtxt strips these around a number; float does not
+
+
+def _numbers(lines: Sequence[str], cols: Sequence[int] | None) -> np.ndarray | None:
+    """Columns ``cols`` (None: all) of the comma-separated ``lines``, one
+    row per line, read by one ``np.loadtxt`` call; or None where it refuses
+    them, a line is blank (it skips those) or a value is not finite, so that
+    the caller's per-value path judges them with ``float``.
+
+    ``np.loadtxt`` refuses some strings that ``float`` reads, such as
+    ``1_0`` and ``١``, and reads those it accepts to ``float``'s bits. Of
+    the edge strings tried (signs, ``nan``, ``1e400``, subnormals, padding
+    and separators), the one it accepts and ``float`` refuses is a number
+    padded with ``_PADDING``, so lines holding that go to the caller too.
+    ``np.loadtxt`` warns on lines that are all blank, hence the first test.
+    """
+    text = "".join(lines)
+    if not text.strip("\r\n") or any(c in text for c in _PADDING):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", usecols=cols, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if len(values) != len(lines) or not np.isfinite(values).all():
+        return None
+    return values
 
 
 @dataclass(frozen=True)
@@ -173,33 +206,175 @@ class NormStats:
         object.__setattr__(self, "maxs", maxs)
 
 
-def _canonical_tail(tail: str, text: str, line_no: int) -> tuple[str, str]:
+def _canonical_tail(tail: str) -> tuple[str, str]:
     """A record's trailing fields (attack name, optional difficulty) in
-    canonical form, and the attack name; ``text`` is the stripped line."""
+    canonical form, and the attack name. Raises ``ValueError`` if the
+    difficulty is not an integer."""
     name, comma, difficulty = tail.partition(",")
     label = name.lower()
     if comma:
-        try:
-            difficulty = str(int(difficulty))
-        except ValueError:
-            raw = text.rpartition(",")[2]
-            raise ParseError(f"difficulty field is not an integer: {raw!r}", line_no) from None
+        difficulty = str(int(difficulty))
     return label + comma + difficulty, label
 
 
-def _record_lines(source: Iterable[str] | str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each record line of ``source``.
+BLOCK_CHARS = 1 << 18  # text the block reader takes from a source at a time
+TAIL_BYTES = 32  # longest attack name and difficulty a plain line may end in
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5],
+                dtype=np.uint64)  # odd multipliers that hash a tail's words
 
-    One byte-order mark (U+FEFF) at the very start is skipped, and so are
-    blank lines and ``#`` comment lines. A string is split into lines as a
-    text file read splits them: at ``\\n``, ``\\r\\n`` and ``\\r`` only.
-    """
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
-    first = next(lines, "").removeprefix("\ufeff")
-    for line_no, line in enumerate(chain([first], lines), start=1):
+
+class _Block(NamedTuple):
+    """Whole lines of a source: the number of the first, their text with
+    each line ended by one newline (None if the source's own lines cannot
+    be written so), and those lines when the source gave them one by one."""
+
+    first: int
+    text: str | None
+    items: list[str] | None
+
+
+def _text_lines(text: str) -> list[str]:
+    """The lines of a block's text, without their newlines."""
+    lines = text.split("\n")
+    lines.pop()  # the text ends in a newline
+    return lines
+
+
+def _text_blocks(stream: TextIO) -> Iterator[_Block]:
+    """Blocks of a text stream, read ``BLOCK_CHARS`` at a time; ``\\r\\n``
+    and ``\\r`` end a line, as in a stream opened with ``newline=None``."""
+    first, pending = 1, []  # pending: the start of a line not yet ended
+    read = stream.read(BLOCK_CHARS).removeprefix("\ufeff")
+    while read:
+        while read.endswith("\r") and (more := stream.read(1)):
+            read += more  # a "\r\n" split between two reads stays one line end
+        if "\r" in read:
+            read = read.replace("\r\n", "\n").replace("\r", "\n")
+        cut = read.rfind("\n") + 1
+        if cut:
+            text = "".join(pending) + read[:cut]
+            pending = []
+            yield _Block(first, text, None)
+            # The newlines counted as bytes: numpy counts them faster than str.count.
+            first += int(np.count_nonzero(np.frombuffer(text.encode(), dtype=np.uint8) == 10))
+        pending.append(read[cut:])
+        read = stream.read(BLOCK_CHARS)
+    last = "".join(pending)  # a last line with no newline
+    if last:
+        yield _Block(first, last + "\n", None)
+
+
+def _line_blocks(lines: Iterator[str]) -> Iterator[_Block]:
+    """Blocks of about ``BLOCK_CHARS`` of an iterable's lines, one item per line."""
+    head = next(lines, None)
+    if head is None:
+        return
+    first, batch, size = 1, [], 0
+    for line in chain([head.removeprefix("\ufeff")], lines):
+        batch.append(line)
+        size += len(line)
+        if size >= BLOCK_CHARS:
+            yield _item_block(first, batch)
+            first, batch, size = first + len(batch), [], 0
+    if batch:
+        yield _item_block(first, batch)
+
+
+def _item_block(first: int, items: list[str]) -> _Block:
+    """A block of an iterable's lines, each of which may end in a newline."""
+    text = "".join(line if line.endswith("\n") else line + "\n" for line in items)
+    return _Block(first, text if text.count("\n") == len(items) else None, items)
+
+
+def _blocks(source: Iterable[str] | str) -> Iterator[_Block]:
+    """The lines of ``source`` in blocks. One byte-order mark (U+FEFF) at
+    the very start is dropped. A string is split into lines as a text file
+    read splits them: at ``\\n``, ``\\r\\n`` and ``\\r`` only."""
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    if isinstance(source, io.TextIOBase):
+        return _text_blocks(source)
+    return _line_blocks(iter(source))
+
+
+def _numbered(block: _Block) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line of ``block`` that is
+    neither blank nor a ``#`` comment."""
+    lines = block.items if block.items is not None else _text_lines(block.text)
+    for line_no, line in enumerate(lines, start=block.first):
         text = line.strip()
         if text and not text.startswith("#"):
             yield line_no, text
+
+
+class _Bare(NamedTuple):
+    """A bare block (see ``_bare``): its bytes, and where each line starts
+    and where its newline is."""
+
+    data: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+
+def _bare(text: str | None) -> _Bare | None:
+    """``text``'s lines if every one is bare, else None. A bare line is
+    ASCII with no byte up to a space, so it is its own stripped text, and
+    it is neither blank nor a ``#`` comment, so it holds a record."""
+    if text is None or not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if np.count_nonzero(data <= ord(" ")) != len(ends):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (starts == ends).any() or (data[starts] == ord("#")).any():
+        return None
+    return _Bare(data, starts, ends)
+
+
+def _scan(text: str | None, tails: dict[str, tuple[str, str]]) -> list[str] | None:
+    """The attack name on each line of ``text`` if every line is plain,
+    else None.
+
+    A plain line is bare (see ``_bare``), has 42 or 43 fields, and its tail
+    (attack name and any difficulty) fits in ``TAIL_BYTES``. ``_record``
+    would check only its tail, so each distinct tail goes through
+    ``_canonical_tail`` once here. A difficulty that is not an integer
+    makes the block not plain, so that ``_record`` names its line.
+    """
+    bare = _bare(text)
+    if bare is None:
+        return None
+    data, _, ends = bare
+    commas = np.flatnonzero(data == ord(","))
+    upto = np.searchsorted(commas, ends)  # commas before each line's end
+    since = np.concatenate(([0], upto[:-1]))  # commas before its start
+    fields = upto - since + 1
+    if ((fields != N_FEATURES + 1) & (fields != N_FEATURES + 2)).any():
+        return None
+    cut = commas[since + N_FEATURES - 1]  # the comma before the attack name
+    width = ends - cut - 1
+    if (width > TAIL_BYTES).any():
+        return None
+    # Each line's tail, right-aligned in its last TAIL_BYTES with NUL before
+    # it, as words: distinct tails are found by a hash of the words, checked.
+    grid = sliding_window_view(data, TAIL_BYTES)[ends - TAIL_BYTES]
+    grid *= np.arange(TAIL_BYTES) >= TAIL_BYTES - width[:, None]
+    words = grid.view(np.uint64)
+    _, seen, inverse = np.unique(words @ _MIX, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    if (words[seen][inverse] != words).any():
+        return None  # two tails share a hash
+    names = []
+    for tail in grid[seen].view(f"S{TAIL_BYTES}").ravel().tolist():
+        tail = tail.lstrip(b"\0").decode("ascii")
+        if tail not in tails:
+            try:
+                tails[tail] = _canonical_tail(tail)
+            except ValueError:
+                return None
+        names.append(tails[tail][1])
+    return np.array(names, dtype=object)[inverse].tolist()
 
 
 def _record(text: str, line_no: int, tails: dict[str, tuple[str, str]]) -> Record:
@@ -220,7 +395,11 @@ def _record(text: str, line_no: int, tails: dict[str, tuple[str, str]]) -> Recor
         cut = line.rindex(",", 0, cut)
     tail = line[cut + 1:]
     if tail not in tails:
-        tails[tail] = _canonical_tail(tail, text, line_no)
+        try:
+            tails[tail] = _canonical_tail(tail)
+        except ValueError:
+            raw = text.rpartition(",")[2]
+            raise ParseError(f"difficulty field is not an integer: {raw!r}", line_no) from None
     canonical, label = tails[tail]
     if canonical != tail:
         line = line[: cut + 1] + canonical
@@ -229,9 +408,18 @@ def _record(text: str, line_no: int, tails: dict[str, tuple[str, str]]) -> Recor
 
 def parse_labels(source: Iterable[str] | str) -> list[str]:
     """The attack name of every record, each line checked as ``parse_kdd``
-    checks it. With these a subsample is drawn before any record is kept."""
+    checks it. With these a subsample is drawn before any record is kept.
+    A plain block (see ``_scan``) is labelled whole; ``_record`` reads the
+    lines of any other."""
     tails: dict[str, tuple[str, str]] = {}
-    return [_record(text, line_no, tails).label for line_no, text in _record_lines(source)]
+    labels: list[str] = []
+    for block in _blocks(source):
+        plain = _scan(block.text, tails)
+        if plain is not None:
+            labels += plain
+        else:
+            labels += [_record(text, line_no, tails).label for line_no, text in _numbered(block)]
+    return labels
 
 
 def parse_kdd(
@@ -255,24 +443,38 @@ def parse_kdd(
     data changed between the two reads.
     """
     tails: dict[str, tuple[str, str]] = {}  # few distinct (name, difficulty) pairs
-    lines = _record_lines(source)
-    if keep is None:
-        return [_record(text, line_no, tails) for line_no, text in lines]
-    wanted = set(keep)
     records: list[Record] = []
-    index = -1
-    for index, (line_no, text) in enumerate(lines):
-        if index in wanted:
+    if keep is None:
+        for block in _blocks(source):
+            if _bare(block.text) is None:
+                numbered = _numbered(block)
+            else:  # every line is its own stripped text and holds a record
+                numbered = enumerate(_text_lines(block.text), start=block.first)
+            records += [_record(text, line_no, tails) for line_no, text in numbered]
+        return records
+    wanted = np.unique(np.fromiter(keep, dtype=np.int64))
+    count = 0  # records before the block
+    for block in _blocks(source):
+        bare = _bare(block.text)
+        numbered = None if bare is not None else list(_numbered(block))
+        size = len(bare.ends) if bare is not None else len(numbered)
+        lo, hi = np.searchsorted(wanted, (count, count + size))
+        for i in (wanted[lo:hi] - count).tolist():
+            if bare is not None:
+                line_no, text = block.first + i, block.text[bare.starts[i]:bare.ends[i]]
+            else:
+                line_no, text = numbered[i]
             record = _record(text, line_no, tails)
-            if record.label != labels[index]:
+            if record.label != labels[count + i]:
                 raise DataError(
                     f"line {line_no}: the file changed while it was being read "
-                    f"(the record was {labels[index]!r}, now {record.label!r})"
+                    f"(the record was {labels[count + i]!r}, now {record.label!r})"
                 )
             records.append(record)
-    if index + 1 != len(labels):
+        count += size
+    if count != len(labels):
         raise DataError(
-            f"the file changed while it was being read ({len(labels)} records, now {index + 1})"
+            f"the file changed while it was being read ({len(labels)} records, now {count})"
         )
     return records
 
@@ -303,19 +505,24 @@ def fit_encoding(records: Sequence[Record], fitted_on: str = "unspecified") -> E
     """Build first-occurrence ordinal code maps for string-valued columns.
 
     A column is categorical when it holds at least one non-numeric value.
-    The records are split ``CHUNK_ROWS`` at a time, and each chunk's
-    distinct values extend the codes. A column whose first non-number
-    comes after the first chunk is read again from the first record, so
-    its codes still count from there.
+    The records are read ``CHUNK_ROWS`` at a time, and each chunk's
+    distinct values extend the codes. A chunk whose numeric columns
+    ``_numbers`` reads adds no categorical column; ``float`` judges every
+    value of any other. A column whose first non-number comes after the
+    first chunk is read again from the first record, so its codes still
+    count from there.
     """
     if not len(records):
         raise DataError("cannot fit an encoding on zero records")
     maps: dict[int, dict[str, int]] = {}
-    for start, columns in _chunks(records):
-        for col, values in enumerate(columns):
+    for start, lines in _chunks(records):
+        numeric = [col for col in range(N_FEATURES) if col not in maps]
+        checked = not numeric or _numbers(lines, numeric) is not None
+        top = max(maps, default=-1) + 1 if checked else N_FEATURES
+        for col, values in enumerate(_columns(lines, top)):
             mapping = maps.get(col)
             if mapping is None:
-                if all(map(_is_float, set(values))):
+                if checked or all(map(_is_float, set(values))):
                     continue
                 mapping = maps[col] = {}
                 values = chain((r.line.split(",", col + 1)[col] for r in records[:start]), values)
@@ -324,37 +531,58 @@ def fit_encoding(records: Sequence[Record], fitted_on: str = "unspecified") -> E
     return EncodingTable(columns=dict(sorted(maps.items())), fitted_on=fitted_on)
 
 
+def _float_columns(block: np.ndarray, lines: Sequence[str], cols: Sequence[int],
+                   start: int) -> None:
+    """Fill ``block``'s columns ``cols`` from ``lines`` a column at a time
+    with ``float``. The first column holding a non-number, else the first
+    record holding a non-finite value, raises ``DataError``; ``start`` is
+    the index of the first record."""
+    columns = _columns(lines, N_FEATURES)
+    for col in cols:
+        values = columns[col]
+        try:
+            block[:, col] = np.asarray(values, dtype=np.float64)
+        except ValueError:
+            bad = next(i for i, v in enumerate(values) if not _is_float(v))
+            raise DataError(
+                f"non-numeric value {values[bad]!r} in numeric column "
+                f"{col} ({FEATURE_NAMES[col]}), record {start + bad}"
+            ) from None
+    finite = np.isfinite(block)
+    if not finite.all():
+        record, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise DataError(
+            f"non-finite value {columns[col][record]!r} in numeric column "
+            f"{col} ({FEATURE_NAMES[col]}), record {start + record}"
+        )
+
+
 def encode(records: Sequence[Record], table: EncodingTable) -> Encoded:
     """Encode records to a numeric matrix (unnormalized) plus class labels.
 
     The matrix is allocated once and filled ``CHUNK_ROWS`` records at a
-    time; an error names the record's index in ``records``.
+    time: codes from each line split up to its last categorical column,
+    numbers by ``_numbers``, or by ``float`` where ``_numbers`` gives up. An
+    error names the record's index in ``records``.
     """
     labels = class_labels([r.label for r in records])
     rows = np.empty((len(records), N_FEATURES), dtype=np.float64)
-    for start, columns in _chunks(records):
-        block = rows[start:start + len(columns[0])]
-        for col, values in enumerate(columns):
-            mapping = table.columns.get(col)
-            if mapping is not None:
-                unseen = len(mapping)
-                block[:, col] = [mapping.get(v, unseen) for v in values]
-                continue
-            try:
-                block[:, col] = np.asarray(values, dtype=np.float64)
-            except ValueError:
-                bad = next(i for i, v in enumerate(values) if not _is_float(v))
-                raise DataError(
-                    f"non-numeric value {values[bad]!r} in numeric column "
-                    f"{col} ({FEATURE_NAMES[col]}), record {start + bad}"
-                ) from None
-        finite = np.isfinite(block)
-        if not finite.all():
-            record, col = (int(i) for i in np.argwhere(~finite)[0])
-            raise DataError(
-                f"non-finite value {columns[col][record]!r} in numeric column "
-                f"{col} ({FEATURE_NAMES[col]}), record {start + record}"
-            )
+    numeric = [col for col in range(N_FEATURES) if col not in table.columns]
+    top = max(table.columns, default=-1) + 1
+    for start, lines in _chunks(records):
+        block = rows[start:start + len(lines)]
+        columns = _columns(lines, top)
+        # Codes first: _float_columns checks the whole block for finite values.
+        for col, mapping in table.columns.items():
+            unseen = len(mapping)
+            block[:, col] = [mapping.get(v, unseen) for v in columns[col]]
+        if not numeric:
+            continue
+        values = _numbers(lines, numeric)
+        if values is None:
+            _float_columns(block, lines, numeric, start)
+        else:
+            block[:, numeric] = values
     return Encoded(rows, labels)
 
 
@@ -490,15 +718,16 @@ def encoded_lines(dataset: Dataset) -> Iterator[str]:
         yield from map(",".join, zip(*chunk))
 
 
-def read_encoded(lines: Iterable[str], name: str) -> Dataset:
-    """The rows and labels ``encoded_lines`` wrote to the file ``name``, read
-    from its lines, ``#`` header lines first; ``float`` reads each ``repr``
-    back to its bits. A row that is not 41 values in [0, 1] (normalization
-    clips to it) and a class index, or no row at all, raises ``DataError``."""
-    values = array("d")
-    for line_no, line in enumerate(lines, start=1):
-        if not values and line.startswith("#"):
-            continue
+def _read_rows(lines: list[str], first: int, name: str, values: array) -> None:
+    """Append to ``values`` the values and label on each of ``lines``, the
+    first of which is line ``first`` of the file ``name``: by ``_numbers``,
+    or else by ``float``, which raises ``DataError`` at the first line that
+    is not 42 numbers."""
+    table = _numbers(lines, None)
+    if table is not None and table.shape[1] == N_FEATURES + 1:
+        values.frombytes(table.tobytes())
+        return
+    for line_no, line in enumerate(lines, start=first):
         fields = line.split(",")
         try:
             if len(fields) != N_FEATURES + 1:
@@ -506,13 +735,33 @@ def read_encoded(lines: Iterable[str], name: str) -> Dataset:
             values.extend(map(float, fields))
         except ValueError as exc:
             raise DataError(f"{name}: line {line_no}: {exc}") from None
-    if not values:
+
+
+def read_encoded(lines: Iterable[str], name: str) -> Dataset:
+    """The rows and labels ``encoded_lines`` wrote to the file ``name``, read
+    from its lines, ``#`` header lines first, ``CHUNK_ROWS`` lines at a time
+    (``_read_rows``) into one flat array of doubles; either way each
+    ``repr`` reads back to its bits. A row that is not 41 values in [0, 1]
+    (normalization clips to it) and a class index, or no row at all, raises
+    ``DataError``."""
+    lines = iter(lines)
+    first = 1  # the number of the chunk's first line
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        first += 1
+    else:
         raise DataError(f"{name}: no rows")
+    rest = chain([line], lines)
+    values = array("d")
+    while chunk := list(islice(rest, CHUNK_ROWS)):
+        _read_rows(chunk, first, name, values)
+        first += len(chunk)
     table = np.frombuffer(values).reshape(-1, N_FEATURES + 1)
     rows, labels = table[:, :N_FEATURES], table[:, N_FEATURES]
     good = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1) & np.isin(labels, range(len(CLASS_NAMES)))
     if not good.all():  # the rows are the last len(good) lines
-        raise DataError(f"{name}: line {line_no - len(good) + int(np.argmin(good)) + 1}: a value "
+        raise DataError(f"{name}: line {first - len(good) + int(np.argmin(good))}: a value "
                         f"outside [0, 1] or a label not in 0..{len(CLASS_NAMES) - 1}")
     return Dataset(rows, labels.astype(np.int64))
 

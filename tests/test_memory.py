@@ -12,13 +12,16 @@ at ``--subsample 0``, ``1000`` and ``6000`` with them dropped but every
 record parsed and every field its own string; 48.3, 6.5 and 14.2 MB with a
 labels-only first read and the columns' repeated strings shared; and
 29.3–29.4, 6.0 and 11.4–12.2 MB with no string columns and the matrix
-normalized in place (Python 3.11, numpy 2.4, Linux x86-64). Each part of
-the last change fails a bound alone: encoding from whole split columns grew
-98.5 MB at ``--subsample 0`` and 18.2 MB at ``--subsample 6000``, and a
-normalize into a second matrix 41.9 MB at ``--subsample 0``.
+normalized in place; and 27.4, 7.2 and 10.8 MB with both reads taking the
+data in 256 Ki-character blocks and the numbers read by ``np.loadtxt``
+(Python 3.11, numpy 2.4, Linux x86-64). Each part of
+the change that dropped the string columns fails a bound alone: encoding
+from whole split columns grew 98.5 MB at ``--subsample 0`` and 18.2 MB at
+``--subsample 6000``, and a normalize into a second matrix 41.9 MB at
+``--subsample 0``.
 
-The bounds leave about 5.6 MB (``0``), 4.0 MB (``1000``) and 2.8 MB
-(``6000``) over the growth measured here. ``1000`` guards the labels-only
+The bounds leave about 7.6 MB (``0``), 2.8 MB (``1000``) and 4.2 MB
+(``6000``) over the growth measured last. ``1000`` guards the labels-only
 first read, which a single read of every record breaks (14.8 MB).
 """
 
