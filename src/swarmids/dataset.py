@@ -224,20 +224,13 @@ _MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x2
 
 
 class _Block(NamedTuple):
-    """Whole lines of a source: the number of the first, their text with
-    each line ended by one newline (None if the source's own lines cannot
-    be written so), and those lines when the source gave them one by one."""
+    """Whole lines of a source: the number of the first, and either their
+    text, each line ended by one newline (from a string or text stream),
+    or the lines as the items of any other iterable gave them."""
 
     first: int
     text: str | None
     items: list[str] | None
-
-
-def _text_lines(text: str) -> list[str]:
-    """The lines of a block's text, without their newlines."""
-    lines = text.split("\n")
-    lines.pop()  # the text ends in a newline
-    return lines
 
 
 def _text_blocks(stream: TextIO) -> Iterator[_Block]:
@@ -255,8 +248,7 @@ def _text_blocks(stream: TextIO) -> Iterator[_Block]:
             text = "".join(pending) + read[:cut]
             pending = []
             yield _Block(first, text, None)
-            # The newlines counted as bytes: numpy counts them faster than str.count.
-            first += int(np.count_nonzero(np.frombuffer(text.encode(), dtype=np.uint8) == 10))
+            first += text.count("\n")
         pending.append(read[cut:])
         read = stream.read(BLOCK_CHARS)
     last = "".join(pending)  # a last line with no newline
@@ -274,16 +266,10 @@ def _line_blocks(lines: Iterator[str]) -> Iterator[_Block]:
         batch.append(line)
         size += len(line)
         if size >= BLOCK_CHARS:
-            yield _item_block(first, batch)
+            yield _Block(first, None, batch)
             first, batch, size = first + len(batch), [], 0
     if batch:
-        yield _item_block(first, batch)
-
-
-def _item_block(first: int, items: list[str]) -> _Block:
-    """A block of an iterable's lines, each of which may end in a newline."""
-    text = "".join(line if line.endswith("\n") else line + "\n" for line in items)
-    return _Block(first, text if text.count("\n") == len(items) else None, items)
+        yield _Block(first, None, batch)
 
 
 def _blocks(source: Iterable[str] | str) -> Iterator[_Block]:
@@ -300,7 +286,7 @@ def _blocks(source: Iterable[str] | str) -> Iterator[_Block]:
 def _numbered(block: _Block) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) of each line of ``block`` that is
     neither blank nor a ``#`` comment."""
-    lines = block.items if block.items is not None else _text_lines(block.text)
+    lines = block.items if block.items is not None else block.text.split("\n")[:-1]
     for line_no, line in enumerate(lines, start=block.first):
         text = line.strip()
         if text and not text.startswith("#"):
@@ -357,12 +343,12 @@ def _scan(text: str | None, tails: dict[str, tuple[str, str]]) -> list[str] | No
     if (width > TAIL_BYTES).any():
         return None
     # Each line's tail, right-aligned in its last TAIL_BYTES with NUL before
-    # it, as words: distinct tails are found by a hash of the words, checked.
+    # it, as words. Distinct tails are found by a checked hash of the words:
+    # np.unique sorts one uint64 per line faster than 32-byte rows.
     grid = sliding_window_view(data, TAIL_BYTES)[ends - TAIL_BYTES]
     grid *= np.arange(TAIL_BYTES) >= TAIL_BYTES - width[:, None]
     words = grid.view(np.uint64)
     _, seen, inverse = np.unique(words @ _MIX, return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
     if (words[seen][inverse] != words).any():
         return None  # two tails share a hash
     names = []
@@ -446,11 +432,7 @@ def parse_kdd(
     records: list[Record] = []
     if keep is None:
         for block in _blocks(source):
-            if _bare(block.text) is None:
-                numbered = _numbered(block)
-            else:  # every line is its own stripped text and holds a record
-                numbered = enumerate(_text_lines(block.text), start=block.first)
-            records += [_record(text, line_no, tails) for line_no, text in numbered]
+            records += [_record(text, line_no, tails) for line_no, text in _numbered(block)]
         return records
     wanted = np.unique(np.fromiter(keep, dtype=np.int64))
     count = 0  # records before the block

@@ -32,7 +32,9 @@ from swarmids.errors import DataError, ParseError
 
 PADS = ("", " ", "\t", "\xa0", "\x1c")
 VALUES = ("0", "1", "0.5", "tcp", "a b", "a#b", "-0")
-NAMES = ("normal", "NEPTUNE", "Smurf", "ñormal", "guess_passwd", "x" * 37)  # x*37,21 is 40 bytes
+# "x" * 37 + ",21" is a 40-byte tail; "\udcff" is a byte that a decode with
+# errors="surrogateescape" could not read.
+NAMES = ("normal", "NEPTUNE", "Smurf", "ñormal", "n\udcffrmal", "guess_passwd", "x" * 37)
 DIFFICULTIES = (None, "21", "07", "x", "+5")
 ENDINGS = ("\n", "\r\n", "\r")
 
@@ -136,6 +138,7 @@ ODD = {
     "41 fields": PLAIN.replace("0,", "", 2),
     "44 fields": PLAIN + ",3",
     "difficulty not an integer": PLAIN.replace("21", "x"),
+    "lone surrogate": PLAIN.replace("normal", "n\udcffrmal"),
 }
 
 
@@ -164,7 +167,7 @@ def test_plain_blocks_call_no_per_line_check(monkeypatch):
 
 
 NUMBERS = ("0", "1", "0.5", "-0", "1e3", "1_0", "١", "nan", "-inf", "1e400", "4.9e-324")
-WORDS = ("tcp", "a#b", "x")
+WORDS = ("tcp", "a#b", "x", "t\udcffcp")
 
 
 @st.composite
@@ -250,7 +253,7 @@ def _reference_read(lines, name):
 
 
 CELLS = ("0.0", "1.0", "0.25", "-0.0", " 0.5", "5e-324") * 4 + (
-    "1_0", "١", "nan", "-inf", "1e400", "\x1c0.5", "0.5\x1f", "", "x")
+    "1_0", "١", "nan", "-inf", "1e400", "\x1c0.5", "0.5\x1f", "", "x", "0\udcff")
 
 
 @st.composite
