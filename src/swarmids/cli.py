@@ -75,7 +75,7 @@ class RunConfig:
     epochs: int = 20
     step_offset: float = 0.0        # 0 = auto (ceil(C*N))
     fitness_epochs: int = 5
-    threads: int = 0                # evaluate's fold worker processes; 0 = nproc
+    threads: int = 0                # evaluate's fold worker processes; 0 = usable CPUs
     plots: bool = True
 
     def __post_init__(self):
@@ -328,6 +328,14 @@ def cmd_select(config: RunConfig) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """How many processors this process may run on (its affinity mask where
+    the platform has one, else every processor)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_evaluate(config: RunConfig) -> int:
     """Cross-validate the pipeline on the prepared data; write report and plots."""
     out = _out_dir(config)
@@ -335,7 +343,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     stage_seed = derive_seed(config.seed, "evaluate")
 
     records = _read(Path(config.out) / "prepare_data.csv", _PREPARED_MISSING, parse_kdd)
-    threads = config.threads or os.cpu_count() or 1
+    threads = config.threads or _usable_cpus()
     started = time.perf_counter()
     report = cross_validate(
         records,

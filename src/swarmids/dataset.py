@@ -7,12 +7,12 @@ time, the numbers with ``np.loadtxt``, and ``encode`` fills one matrix
 that ``apply_normalize`` then scales in place. To subsample, ``prepare``
 reads the data twice: ``parse_labels`` checks every line and keeps only
 the attack names the sample is drawn from, and ``parse_kdd`` then keeps
-only the drawn records. Both take the source in blocks of whole lines; a
-block that a numpy pass proves plain (``_scan``) needs no Python per
-line, and ``_record`` checks every line of any other. String-valued
-columns are detected from the data and encoded with deterministic
-first-occurrence ordinal codes. The attack-name to category mapping ships
-as a versioned table under ``data/``.
+only the drawn records. Both take the source's own lines ``BLOCK_LINES``
+at a time; a block that a numpy pass proves plain (``_scan``) needs no
+Python per line, and ``_record`` checks every line of any other.
+String-valued columns are detected from the data and encoded with
+deterministic first-occurrence ordinal codes. The attack-name to category
+mapping ships as a versioned table under ``data/``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -217,110 +217,64 @@ def _canonical_tail(tail: str) -> tuple[str, str]:
     return label + comma + difficulty, label
 
 
-BLOCK_CHARS = 1 << 18  # text the block reader takes from a source at a time
+BLOCK_LINES = 2048  # lines the block reader takes from a source at a time
 TAIL_BYTES = 32  # longest attack name and difficulty a plain line may end in
 _MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5],
                 dtype=np.uint64)  # odd multipliers that hash a tail's words
 
 
-class _Block(NamedTuple):
-    """Whole lines of a source: the number of the first, and either their
-    text, each line ended by one newline (from a string or text stream),
-    or the lines as the items of any other iterable gave them."""
-
-    first: int
-    text: str | None
-    items: list[str] | None
-
-
-def _text_blocks(stream: TextIO) -> Iterator[_Block]:
-    """Blocks of a text stream, read ``BLOCK_CHARS`` at a time; ``\\r\\n``
-    and ``\\r`` end a line, as in a stream opened with ``newline=None``."""
-    first, pending = 1, []  # pending: the start of a line not yet ended
-    read = stream.read(BLOCK_CHARS).removeprefix("\ufeff")
-    while read:
-        while read.endswith("\r") and (more := stream.read(1)):
-            read += more  # a "\r\n" split between two reads stays one line end
-        if "\r" in read:
-            read = read.replace("\r\n", "\n").replace("\r", "\n")
-        cut = read.rfind("\n") + 1
-        if cut:
-            text = "".join(pending) + read[:cut]
-            pending = []
-            yield _Block(first, text, None)
-            first += text.count("\n")
-        pending.append(read[cut:])
-        read = stream.read(BLOCK_CHARS)
-    last = "".join(pending)  # a last line with no newline
-    if last:
-        yield _Block(first, last + "\n", None)
-
-
-def _line_blocks(lines: Iterator[str]) -> Iterator[_Block]:
-    """Blocks of about ``BLOCK_CHARS`` of an iterable's lines, one item per line."""
-    head = next(lines, None)
-    if head is None:
-        return
-    first, batch, size = 1, [], 0
-    for line in chain([head.removeprefix("\ufeff")], lines):
-        batch.append(line)
-        size += len(line)
-        if size >= BLOCK_CHARS:
-            yield _Block(first, None, batch)
-            first, batch, size = first + len(batch), [], 0
-    if batch:
-        yield _Block(first, None, batch)
-
-
-def _blocks(source: Iterable[str] | str) -> Iterator[_Block]:
-    """The lines of ``source`` in blocks. One byte-order mark (U+FEFF) at
-    the very start is dropped. A string is split into lines as a text file
-    read splits them: at ``\\n``, ``\\r\\n`` and ``\\r`` only."""
+def _blocks(source: Iterable[str] | str) -> Iterator[tuple[int, list[str], str | None]]:
+    """The lines of ``source``, ``BLOCK_LINES`` at a time, as the number of
+    the first, the lines, and their text. The lines are the ones the source
+    yields; a string is read as a text stream opened with ``newline=None``,
+    which splits at ``\\n``, ``\\r\\n`` and ``\\r``. One byte-order mark
+    (U+FEFF) at the very start is dropped. A text stream's last line is
+    ended with a newline; the text of any other iterable's lines is None."""
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
-    if isinstance(source, io.TextIOBase):
-        return _text_blocks(source)
-    return _line_blocks(iter(source))
+    is_text = isinstance(source, io.TextIOBase)
+    lines = iter(source)
+    first = 1
+    while batch := list(islice(lines, BLOCK_LINES)):
+        if first == 1:
+            batch[0] = batch[0].removeprefix("\ufeff")
+        if is_text and not batch[-1].endswith("\n"):
+            batch[-1] += "\n"
+        yield first, batch, "".join(batch) if is_text else None
+        first += len(batch)
 
 
-def _numbered(block: _Block) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each line of ``block`` that is
-    neither blank nor a ``#`` comment."""
-    lines = block.items if block.items is not None else block.text.split("\n")[:-1]
-    for line_no, line in enumerate(lines, start=block.first):
+def _numbered(first: int, lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each of ``lines``, the first of which
+    is line ``first``, that is neither blank nor a ``#`` comment."""
+    for line_no, line in enumerate(lines, start=first):
         text = line.strip()
         if text and not text.startswith("#"):
             yield line_no, text
 
 
-class _Bare(NamedTuple):
-    """A bare block (see ``_bare``): its bytes, and where each line starts
-    and where its newline is."""
-
-    data: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-
-
-def _bare(text: str | None) -> _Bare | None:
-    """``text``'s lines if every one is bare, else None. A bare line is
-    ASCII with no byte up to a space, so it is its own stripped text, and
-    it is neither blank nor a ``#`` comment, so it holds a record."""
+def _bare(lines: list[str], text: str | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The bytes of ``text``, the lines joined, and where each line's
+    newline is, if every line is bare; else None. A bare line is ASCII with
+    no byte up to a space but its one newline at the end, so without it the
+    line is its own stripped text, and it is neither blank nor a ``#``
+    comment, so it holds a record."""
     if text is None or not text.isascii():
         return None
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
-    if np.count_nonzero(data <= ord(" ")) != len(ends):
+    if len(ends) != len(lines) or np.count_nonzero(data <= ord(" ")) != len(ends):
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     if (starts == ends).any() or (data[starts] == ord("#")).any():
         return None
-    return _Bare(data, starts, ends)
+    return data, ends
 
 
-def _scan(text: str | None, tails: dict[str, tuple[str, str]]) -> list[str] | None:
-    """The attack name on each line of ``text`` if every line is plain,
-    else None.
+def _scan(lines: list[str], text: str | None,
+          tails: dict[str, tuple[str, str]]) -> list[str] | None:
+    """The attack name on each of ``lines`` (joined: ``text``) if every line
+    is plain, else None.
 
     A plain line is bare (see ``_bare``), has 42 or 43 fields, and its tail
     (attack name and any difficulty) fits in ``TAIL_BYTES``. ``_record``
@@ -328,10 +282,10 @@ def _scan(text: str | None, tails: dict[str, tuple[str, str]]) -> list[str] | No
     ``_canonical_tail`` once here. A difficulty that is not an integer
     makes the block not plain, so that ``_record`` names its line.
     """
-    bare = _bare(text)
+    bare = _bare(lines, text)
     if bare is None:
         return None
-    data, _, ends = bare
+    data, ends = bare
     commas = np.flatnonzero(data == ord(","))
     upto = np.searchsorted(commas, ends)  # commas before each line's end
     since = np.concatenate(([0], upto[:-1]))  # commas before its start
@@ -399,12 +353,13 @@ def parse_labels(source: Iterable[str] | str) -> list[str]:
     lines of any other."""
     tails: dict[str, tuple[str, str]] = {}
     labels: list[str] = []
-    for block in _blocks(source):
-        plain = _scan(block.text, tails)
+    for first, lines, text in _blocks(source):
+        plain = _scan(lines, text, tails)
         if plain is not None:
             labels += plain
         else:
-            labels += [_record(text, line_no, tails).label for line_no, text in _numbered(block)]
+            labels += [_record(line, line_no, tails).label
+                       for line_no, line in _numbered(first, lines)]
     return labels
 
 
@@ -430,31 +385,28 @@ def parse_kdd(
     """
     tails: dict[str, tuple[str, str]] = {}  # few distinct (name, difficulty) pairs
     records: list[Record] = []
-    if keep is None:
-        for block in _blocks(source):
-            records += [_record(text, line_no, tails) for line_no, text in _numbered(block)]
-        return records
-    wanted = np.unique(np.fromiter(keep, dtype=np.int64))
+    wanted = None if keep is None else np.unique(np.fromiter(keep, dtype=np.int64))
     count = 0  # records before the block
-    for block in _blocks(source):
-        bare = _bare(block.text)
-        numbered = None if bare is not None else list(_numbered(block))
-        size = len(bare.ends) if bare is not None else len(numbered)
-        lo, hi = np.searchsorted(wanted, (count, count + size))
-        for i in (wanted[lo:hi] - count).tolist():
-            if bare is not None:
-                line_no, text = block.first + i, block.text[bare.starts[i]:bare.ends[i]]
-            else:
-                line_no, text = numbered[i]
-            record = _record(text, line_no, tails)
-            if record.label != labels[count + i]:
+    for first, lines, text in _blocks(source):
+        # Line i of a bare block is record i; other blocks are numbered.
+        numbered = None if _bare(lines, text) is not None else list(_numbered(first, lines))
+        size = len(lines) if numbered is None else len(numbered)
+        if wanted is None:
+            picks = range(size)
+        else:
+            lo, hi = np.searchsorted(wanted, (count, count + size))
+            picks = (wanted[lo:hi] - count).tolist()
+        for i in picks:
+            line_no, line = (first + i, lines[i][:-1]) if numbered is None else numbered[i]
+            record = _record(line, line_no, tails)
+            if wanted is not None and record.label != labels[count + i]:
                 raise DataError(
                     f"line {line_no}: the file changed while it was being read "
                     f"(the record was {labels[count + i]!r}, now {record.label!r})"
                 )
             records.append(record)
         count += size
-    if count != len(labels):
+    if wanted is not None and count != len(labels):
         raise DataError(
             f"the file changed while it was being read ({len(labels)} records, now {count})"
         )

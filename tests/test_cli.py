@@ -331,6 +331,16 @@ class TestEvaluateAndPipeline:
             reports.add((out / "evaluate_report.json").read_text().replace(digest, "DIGEST"))
         assert len(reports) == 1
 
+    def test_zero_threads_is_one_per_usable_processor(self, synth_file, tmp_path, run_cli,
+                                                      monkeypatch):
+        # Pinned to one processor, as under "taskset -c 0", on a machine with more.
+        out = tmp_path / "run"
+        assert run_cli(["prepare", *_args(synth_file, out)]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_cli(["evaluate", *_args(synth_file, out, "--threads", "0")]) == 0
+        timing = json.loads((out / "evaluate_timing.json").read_text())
+        assert (timing["threads"], timing["fold_workers"]) == (1, 1)
+
     def test_fold_objective_failure_in_a_worker_exits_3(self, synth_file, tmp_path, run_cli,
                                                          capsys, monkeypatch):
         # The ObjectiveError a worker raises reaches main whole: the exit

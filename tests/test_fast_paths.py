@@ -69,8 +69,18 @@ def corpora(draw):
     return ("\ufeff" if draw(st.booleans()) else "") + text
 
 
+def _file(text):
+    """``text`` as the CLI reads a file, decoded one byte at a time so that
+    every ``\\r\\n`` straddles two decoder reads."""
+    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogateescape")),
+                              encoding="utf-8", errors="surrogateescape", newline=None)
+    stream._CHUNK_SIZE = 1
+    return stream
+
+
 SOURCES = {
     "string": lambda text: text,
+    "file": _file,
     "stream": lambda text: io.StringIO(text, newline=None),
     "untranslated stream": lambda text: io.StringIO(text, newline=""),
     "untranslated lines": lambda text: list(io.StringIO(text, newline="")),
@@ -101,7 +111,7 @@ def _outcome(call):
 @pytest.fixture(autouse=True, scope="module")
 def small_blocks():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataset, "BLOCK_CHARS", 300)
+        patch.setattr(dataset, "BLOCK_LINES", 3)
         patch.setattr(dataset, "CHUNK_ROWS", 4)
         yield
 
@@ -151,10 +161,19 @@ def test_a_block_scan_refuses_each_odd_line(odd):
 
 
 def test_a_split_line_end_counts_once():
-    # A stream read stops between the "\r" ending a comment and the "\r\n"
-    # ending a blank line; the bad record must still be named line 4.
-    text = "#" + "x" * (dataset.BLOCK_CHARS - 2) + "\r\r\n" + PLAIN + "\n" + PLAIN + ",x\n"
+    # The "\r" ending a comment and the "\r\n" ending a blank line are two
+    # line ends, wherever a read splits them; the bad record is on line 4.
+    text = "#" + "x" * 298 + "\r\r\n" + PLAIN + "\n" + PLAIN + ",x\n"
     _check_parses(text, [0, 1])
+
+
+def test_a_stream_splits_only_where_it_yields_lines():
+    # A file opened with newline="\r" yields this text as one line, which
+    # holds two records' fields; the scan must not split it at "\n".
+    data = (PLAIN + "\n" + PLAIN + "\n").encode()
+    for read in (parse_kdd, parse_labels):
+        with pytest.raises(ParseError, match="got 85"):
+            read(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\r"))
 
 
 def test_plain_blocks_call_no_per_line_check(monkeypatch):
