@@ -1,11 +1,11 @@
 """The fast ingestion paths against per-line and per-value references.
 
-``parse_labels`` labels a plain block whole and ``parse_kdd(keep=...)``
-slices the kept lines out of a bare one; ``fit_encoding``, ``encode`` and
+``parse_labels`` labels a plain block whole and ``parse_kdd`` takes record
+``i`` of a bare block as its line ``i``; ``fit_encoding``, ``encode`` and
 ``read_encoded`` read numbers with ``np.loadtxt``. Each must return what a
 loop over single lines or values returns, or raise the same error text.
-The block size and the chunk size are cut down, so that lines straddle
-blocks and columns turn categorical after the first chunk.
+The block size and the chunk size are cut down, so that every text spans
+several blocks and columns turn categorical after the first chunk.
 """
 
 import io
