@@ -8,8 +8,9 @@ that ``apply_normalize`` then scales in place. To subsample, ``prepare``
 reads the data twice: ``parse_labels`` checks every line and keeps only
 the attack names the sample is drawn from, and ``parse_kdd`` then keeps
 only the drawn records. Both take the source's own lines ``BLOCK_LINES``
-at a time; a block that a numpy pass proves plain (``_scan``) needs no
-Python per line, and ``_record`` checks every line of any other.
+at a time. ``parse_labels`` labels a block that a numpy pass proves plain
+(``_scan``) with no Python per line; ``_record`` checks every line of any
+other block and every record ``parse_kdd`` keeps.
 String-valued columns are detected from the data and encoded with
 deterministic first-occurrence ordinal codes. The attack-name to category
 mapping ships as a versioned table under ``data/``.
@@ -223,13 +224,13 @@ _MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x2
                 dtype=np.uint64)  # odd multipliers that hash a tail's words
 
 
-def _blocks(source: Iterable[str] | str) -> Iterator[tuple[int, list[str], str | None]]:
+def _blocks(source: Iterable[str] | str) -> Iterator[tuple[int, list[str], bool]]:
     """The lines of ``source``, ``BLOCK_LINES`` at a time, as the number of
-    the first, the lines, and their text. The lines are the ones the source
-    yields; a string is read as a text stream opened with ``newline=None``,
-    which splits at ``\\n``, ``\\r\\n`` and ``\\r``. One byte-order mark
-    (U+FEFF) at the very start is dropped. A text stream's last line is
-    ended with a newline; the text of any other iterable's lines is None."""
+    the first, the lines, and whether the source is a text stream. The
+    lines are the ones the source yields; a string is read as a text stream
+    opened with ``newline=None``, which splits at ``\\n``, ``\\r\\n`` and
+    ``\\r``. One byte-order mark (U+FEFF) at the very start is dropped. A
+    text stream's last line is ended with a newline."""
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
     is_text = isinstance(source, io.TextIOBase)
@@ -240,26 +241,30 @@ def _blocks(source: Iterable[str] | str) -> Iterator[tuple[int, list[str], str |
             batch[0] = batch[0].removeprefix("\ufeff")
         if is_text and not batch[-1].endswith("\n"):
             batch[-1] += "\n"
-        yield first, batch, "".join(batch) if is_text else None
+        yield first, batch, is_text
         first += len(batch)
 
 
-def _numbered(first: int, lines: list[str]) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each of ``lines``, the first of which
-    is line ``first``, that is neither blank nor a ``#`` comment."""
-    for line_no, line in enumerate(lines, start=first):
-        text = line.strip()
-        if text and not text.startswith("#"):
-            yield line_no, text
+def _record_lines(lines: list[str]) -> list[int]:
+    """The index of each of ``lines`` that is neither blank nor a ``#``
+    comment, so holds a record."""
+    return [i for i, line in enumerate(lines) if (text := line.strip()) and text[0] != "#"]
 
 
-def _bare(lines: list[str], text: str | None) -> tuple[np.ndarray, np.ndarray] | None:
-    """The bytes of ``text``, the lines joined, and where each line's
-    newline is, if every line is bare; else None. A bare line is ASCII with
-    no byte up to a space but its one newline at the end, so without it the
-    line is its own stripped text, and it is neither blank nor a ``#``
-    comment, so it holds a record."""
-    if text is None or not text.isascii():
+def _scan(lines: list[str], tails: dict[str, tuple[str, str]]) -> list[str] | None:
+    """The attack name on each of ``lines``, a text stream's, if every line
+    is plain, else None.
+
+    A plain line is ASCII with no byte up to a space but its one newline
+    at the end, so without it the line is its own stripped text; it is
+    neither blank nor a ``#`` comment, has 42 or 43 fields, and its tail
+    (attack name and any difficulty) fits in ``TAIL_BYTES``. ``_record``
+    would check only its tail, so each distinct tail goes through
+    ``_canonical_tail`` once here. A difficulty that is not an integer
+    makes the block not plain, so that ``_record`` names its line.
+    """
+    text = "".join(lines)
+    if not text.isascii():
         return None
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
@@ -268,24 +273,6 @@ def _bare(lines: list[str], text: str | None) -> tuple[np.ndarray, np.ndarray] |
     starts = np.concatenate(([0], ends[:-1] + 1))
     if (starts == ends).any() or (data[starts] == ord("#")).any():
         return None
-    return data, ends
-
-
-def _scan(lines: list[str], text: str | None,
-          tails: dict[str, tuple[str, str]]) -> list[str] | None:
-    """The attack name on each of ``lines`` (joined: ``text``) if every line
-    is plain, else None.
-
-    A plain line is bare (see ``_bare``), has 42 or 43 fields, and its tail
-    (attack name and any difficulty) fits in ``TAIL_BYTES``. ``_record``
-    would check only its tail, so each distinct tail goes through
-    ``_canonical_tail`` once here. A difficulty that is not an integer
-    makes the block not plain, so that ``_record`` names its line.
-    """
-    bare = _bare(lines, text)
-    if bare is None:
-        return None
-    data, ends = bare
     commas = np.flatnonzero(data == ord(","))
     upto = np.searchsorted(commas, ends)  # commas before each line's end
     since = np.concatenate(([0], upto[:-1]))  # commas before its start
@@ -353,13 +340,13 @@ def parse_labels(source: Iterable[str] | str) -> list[str]:
     lines of any other."""
     tails: dict[str, tuple[str, str]] = {}
     labels: list[str] = []
-    for first, lines, text in _blocks(source):
-        plain = _scan(lines, text, tails)
+    for first, lines, is_text in _blocks(source):
+        plain = _scan(lines, tails) if is_text else None
         if plain is not None:
             labels += plain
         else:
-            labels += [_record(line, line_no, tails).label
-                       for line_no, line in _numbered(first, lines)]
+            labels += [_record(lines[j].strip(), first + j, tails).label
+                       for j in _record_lines(lines)]
     return labels
 
 
@@ -387,25 +374,23 @@ def parse_kdd(
     records: list[Record] = []
     wanted = None if keep is None else np.unique(np.fromiter(keep, dtype=np.int64))
     count = 0  # records before the block
-    for first, lines, text in _blocks(source):
-        # Line i of a bare block is record i; other blocks are numbered.
-        numbered = None if _bare(lines, text) is not None else list(_numbered(first, lines))
-        size = len(lines) if numbered is None else len(numbered)
+    for first, lines, _ in _blocks(source):
+        at = _record_lines(lines)  # the line of each record in the block
         if wanted is None:
-            picks = range(size)
+            picks = range(len(at))
         else:
-            lo, hi = np.searchsorted(wanted, (count, count + size))
+            lo, hi = np.searchsorted(wanted, (count, count + len(at)))
             picks = (wanted[lo:hi] - count).tolist()
         for i in picks:
-            line_no, line = (first + i, lines[i][:-1]) if numbered is None else numbered[i]
-            record = _record(line, line_no, tails)
+            line_no = first + at[i]
+            record = _record(lines[at[i]].strip(), line_no, tails)
             if wanted is not None and record.label != labels[count + i]:
                 raise DataError(
                     f"line {line_no}: the file changed while it was being read "
                     f"(the record was {labels[count + i]!r}, now {record.label!r})"
                 )
             records.append(record)
-        count += size
+        count += len(at)
     if wanted is not None and count != len(labels):
         raise DataError(
             f"the file changed while it was being read ({len(labels)} records, now {count})"
