@@ -18,6 +18,10 @@ _ARGS = (
     ("w", np.float64, 2), ("b", np.float64, 1), ("w_epochs", np.float64, 3), ("b_epochs", np.float64, 2),
 )
 
+# Bytes of each of the lockstep step's two block buffers, below glibc's
+# default mmap threshold of 128 KiB.
+BLOCK_BYTES = 1 << 16
+
 
 def _check(x, y, orders, mask, w, b, w_epochs, b_epochs):
     """Raise unless ``hinge_train``'s arguments suit both backends: each a
@@ -75,68 +79,79 @@ def _sgd_steps(rows, order, ys, steps, factors, ws, b):
 
 
 def _train_lists(x, y, orders, mask, w, b, w_epochs, b_epochs, eta, factor):
-    """Each plane in turn, every epoch, through ``_sgd_steps`` on lists of
-    its selected columns (made once per run of planes on the same mask)."""
-    cols, rows = None, None
-    for p in range(len(b)):
-        selected = np.flatnonzero(mask[:, p])
-        if cols is None or not np.array_equal(selected, cols):
-            cols = selected
-            rows = (x if len(cols) == x.shape[1] else x[:, cols]).tolist()
-        ws = w[cols, p].tolist()
-        bias = float(b[p])
-        for e, order in enumerate(orders[:, p]):
-            ys = y[p].take(order)
-            bias = _sgd_steps(rows, order.tolist(), ys.tolist(), (eta[e] * ys).tolist(),
-                              factor[e].tolist(), ws, bias)
-            w[cols, p] = ws
-            w_epochs[e, :, p] = w[:, p]
-            b_epochs[e, p] = bias
-        b[p] = bias
+    """The one plane, every epoch, through ``_sgd_steps`` on lists of its
+    selected columns."""
+    cols = np.flatnonzero(mask[:, 0])
+    rows, ws, bias = x[:, cols].tolist(), w[cols, 0].tolist(), float(b[0])
+    for e, order in enumerate(orders[:, 0]):
+        ys = y[0].take(order)
+        bias = _sgd_steps(rows, order.tolist(), ys.tolist(), (eta[e] * ys).tolist(),
+                          factor[e].tolist(), ws, bias)
+        w[cols, 0] = ws
+        w_epochs[e] = w
+        b_epochs[e] = bias
+    b[0] = bias
 
 
 def _train_lockstep(x, y, orders, mask, w, b, w_epochs, b_epochs, eta, factor):
-    """All planes take each step together on a feature-major copy of ``x``.
+    """All planes take each step together, in seven numpy calls.
 
-    The dot products are ``np.add.reduce`` over axis 0 of the C-contiguous
-    (features, planes) products: numpy sums pairwise only along the fast
-    axis, so with two or more planes each is summed in feature order, as
-    in C. The unselected terms it adds are zeros. Every weight shrinks,
-    with no mask: unselected ones are +0.0 and factor >= 0, so they stay
-    +0.0.
+    The iterate is one (features + 1, planes) matrix: the weights, then the
+    bias. Row r of ``xs`` is row r of ``x`` followed by -1, and row n + r
+    is its negation, so each plane's row times its label is row r, or row
+    n + r where the label is -1. A block of steps gathers those rows with
+    one ``take`` and copies them into one C-contiguous (features + 1,
+    planes) array per step. The margins y * (w . x - b) are then
+    ``np.add.reduce`` over axis 0 of the iterate times that array: numpy
+    sums pairwise only along the fast axis, so with two or more planes each
+    is summed in feature order with the bias term last, as in C (negating
+    every term of a sum negates it exactly). The unselected terms are zeros.
+
+    Every weight shrinks, with no mask: unselected ones are zeros and
+    factor >= 0, so they keep their bits. The step then subtracts
+    -eta * y * x from the weights and -eta * y from the bias, after an
+    integer multiply by 0 has made it +0.0 wherever the margin reaches 1
+    or the feature is unselected; w - +0.0 is w, bit for bit, -0.0 too.
     """
-    xt = np.ascontiguousarray(x.T)
-    xs = np.empty(w.shape)
-    prod = np.empty(w.shape)
-    update = np.empty(w.shape, dtype=bool)
-    acc = np.empty(len(b))
-    margin = np.empty(len(b))
-    moved = np.empty(len(b))
-    hit = np.empty(len(b), dtype=bool)
-    step = np.empty(len(b))
+    n, features = x.shape
+    planes = len(b)
+    wb = np.vstack((w, b))
+    weights, terms = wb[:features], np.empty(wb.shape)
+    bits = terms.view(np.int64)
+    xs = np.empty((2 * n, features + 1))
+    xs[:n, :features] = x
+    xs[:n, features] = -1.0
+    np.negative(xs[:n], out=xs[n:])
+    offsets = np.arange(planes)[:, None] * n
+    # A margin below the limit updates: 1 where selected, -inf (never) elsewhere.
+    limit = np.vstack((np.where(mask, 1.0, -np.inf), np.ones(planes)))
+    margin, update = np.empty(planes), np.empty(wb.shape, dtype=np.int64)
+    block = max(1, BLOCK_BYTES // max(8 * wb.size, 1))
+    gathered, blocked = np.empty(block * wb.size), np.empty(block * wb.size)
     for e, order in enumerate(orders):
-        labels = np.take_along_axis(y.T, order.T, axis=0)  # (steps, planes)
-        # Entries are range-checked, so "clip" never clips; it only avoids
-        # the buffered copy that take's default "raise" mode makes.
-        for rows, ys, rate, shrink in zip(order.T, labels, eta[e].tolist(), factor[e].tolist()):
-            xt.take(rows, axis=1, out=xs, mode="clip")
-            np.multiply(w, xs, out=prod)
-            np.add.reduce(prod, axis=0, out=acc)
-            np.subtract(acc, b, out=margin)
-            np.multiply(ys, margin, out=margin)
-            np.less(margin, 1.0, out=hit)
-            np.multiply(ys, rate, out=step)
-            # factor * w + step * x where the margin is violated, factor * w
-            # elsewhere; two rounded products and a rounded sum, as in C.
-            np.multiply(w, shrink, out=w)
-            np.multiply(xs, step, out=prod)
-            np.add(w, prod, out=prod)
-            np.logical_and(mask, hit, out=update)
-            np.putmask(w, update, prod)
-            np.subtract(b, step, out=moved)
-            np.putmask(b, hit, moved)
-        w_epochs[e] = w
-        b_epochs[e] = b
+        minus_eta, shrinks = (-eta[e]).tolist(), factor[e].tolist()
+        for s in range(0, order.shape[1], block):
+            part = order[:, s:s + block]
+            k = part.shape[1]
+            signed = part + n * (y.take(part + offsets) < 0)
+            rows = gathered[:k * wb.size].reshape(k, planes, features + 1)
+            # Entries are range-checked, so "clip" never clips; it only
+            # avoids the buffered copy that take's default "raise" mode makes.
+            xs.take(signed.T, axis=0, out=rows, mode="clip")
+            step_rows = blocked[:k * wb.size].reshape(k, features + 1, planes)
+            np.copyto(step_rows, rows.transpose(0, 2, 1))
+            for row, rate, shrink in zip(step_rows, minus_eta[s:s + block], shrinks[s:s + block]):
+                np.multiply(wb, row, out=terms)
+                np.add.reduce(terms, axis=0, out=margin)
+                np.less(margin, limit, out=update)
+                np.multiply(weights, shrink, out=weights)
+                np.multiply(row, rate, out=terms)
+                np.multiply(bits, update, out=bits)
+                np.subtract(wb, terms, out=wb)
+        w_epochs[e] = weights
+        b_epochs[e] = wb[features]
+    w[...] = weights
+    b[...] = wb[features]
 
 
 def hinge_train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t):
@@ -151,10 +166,9 @@ def hinge_train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t):
     zero and are left alone. The iterate at the end of epoch e goes to
     ``w_epochs[e]`` (features, planes) and ``b_epochs[e]`` (planes,).
 
-    One plane, or planes that all select every column, train one at a
-    time through ``_sgd_steps`` on Python lists. Otherwise all planes take
-    each step together with numpy (``_train_lockstep``), which one plane
-    must never reach: numpy would sum its dot product pairwise. Bad
+    One plane trains through ``_sgd_steps`` on Python lists. Two or more
+    take each step together with numpy (``_train_lockstep``), which one
+    plane must never reach: numpy would sum its dot product pairwise. Bad
     arguments raise (``_check``) before anything is written.
     """
     _check(x, y, orders, mask, w, b, w_epochs, b_epochs)
@@ -163,7 +177,7 @@ def hinge_train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t):
     # every epoch, shared by all planes.
     eta = 1.0 / (lam * (t0 + np.arange(t + 1, t + 1 + epochs * steps).astype(np.float64)))
     factor = 1.0 - eta * lam
-    train = _train_lists if planes == 1 or mask.all() else _train_lockstep
+    train = _train_lists if planes == 1 else _train_lockstep
     train(x, y, orders, mask, w, b, w_epochs, b_epochs,
           eta.reshape(epochs, steps), factor.reshape(epochs, steps))
     return t + epochs * steps

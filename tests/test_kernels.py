@@ -11,9 +11,10 @@ without a prior build step and without writing into ``src/``.
 
 import hashlib
 import io
+import operator
 import sysconfig
 import warnings
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,11 @@ LAYOUTS = {
     "one-plane": ((35, 41, 1), None),
     "full-width": ((50, 5, 4), np.ones((5, 4), dtype=bool)),
     "full-between-partials": ((50, 6, 3), FULL_BETWEEN_PARTIALS),
+    # Planes that all select every column, like each fold's final model (5
+    # planes): the twin's lockstep step, from two planes on.
+    "full-width-2": ((40, 7, 2), np.ones((7, 2), dtype=bool)),
+    "full-width-3": ((45, 9, 3), np.ones((9, 3), dtype=bool)),
+    "final-model": ((80, 17, 5), np.ones((17, 5), dtype=bool)),
 }
 
 
@@ -222,31 +228,69 @@ def _layout(name, seed):
     return x, y, mask, orders
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("layout", list(LAYOUTS))
-def test_batch_matches_per_plane(backends, train_backends, seed, layout):
-    # Each plane of the batch must equal hinge_epoch on its projected
-    # columns, on every backend, byte for byte; unselected weights stay +0.0.
-    x, y, mask, orders = _layout(layout, seed)
+def _check_batch(backends, train_backends, x, y, mask, orders, w0, b0):
+    """Train the batch from ``w0``, ``b0`` on every backend; each plane must
+    equal every backend's chain of ``hinge_epoch`` calls on its projected
+    columns from the same start, byte for byte, and unselected weights keep
+    their bytes."""
     rows, (features, planes) = len(x), mask.shape
     lam, t0 = 1.0 / rows, float(rows)
     expected = {}
     for name, epoch in backends.items():
         for p in range(planes):
             xp = np.ascontiguousarray(x[:, mask[:, p]])
-            w = np.zeros(xp.shape[1])
-            b, t = 0.0, 5
+            w = w0[mask[:, p], p].copy()
+            b, t = float(b0[p]), 5
             for order in orders:
                 b, t = epoch(xp, y[p], np.ascontiguousarray(order[p]), w, b, lam, t0, t)
-            expected[name, p] = (w.tobytes(), b, t)
+            expected[name, p] = (w.tobytes(), np.float64(b).tobytes(), t)
     for name, train in train_backends.items():
-        w = np.zeros((features, planes))
-        b = np.zeros(planes)
+        w, b = w0.copy(), b0.copy()
         t, _, _ = _train(train, x, y, orders, mask, w, b, lam, t0, 5)
         for p in range(planes):
             for per_plane in backends:
-                assert (w[mask[:, p], p].tobytes(), b[p], t) == expected[per_plane, p], (name, p)
-        assert w[~mask].tobytes() == np.zeros(int((~mask).sum())).tobytes()
+                assert (w[mask[:, p], p].tobytes(), b[p].tobytes(), t) == expected[per_plane, p], (name, p)
+        assert w[~mask].tobytes() == w0[~mask].tobytes(), name
+    return w, b
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_batch_matches_per_plane(backends, train_backends, seed, layout):
+    # Each plane of the batch must equal hinge_epoch on its projected
+    # columns, on every backend, byte for byte; unselected weights stay +0.0.
+    x, y, mask, orders = _layout(layout, seed)
+    _check_batch(backends, train_backends, x, y, mask, orders, np.zeros(mask.shape), np.zeros(mask.shape[1]))
+
+
+@pytest.mark.parametrize("layout", ["60x5x4", "90x41x7", "full-width-3", "final-model"])
+def test_batch_from_nonzero_start(backends, train_backends, layout):
+    # A batch may start from any iterate: nonzero weights over negative
+    # features, negative biases and -0.0 weights. Plane 0's first weight
+    # starts at -0.0 over a column of zeros signed against its labels, so
+    # that every step adds -0.0 to it and C keeps it at -0.0 to the end;
+    # unselected weights start at -0.0 and C never touches them.
+    x, y, mask, orders = _layout(layout, 4)
+    rng = np.random.default_rng(4)
+    x[:, 0] = np.where(y[0] > 0, -0.0, 0.0)
+    w0 = np.where(mask, rng.normal(size=mask.shape), -0.0)
+    w0[0, 0] = -0.0
+    b0 = -rng.random(mask.shape[1])
+    w, _ = _check_batch(backends, train_backends, x, y, mask, orders, w0, b0)
+    assert np.signbit(w[0, 0]) and w[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_lockstep_blocks(backends, train_backends, monkeypatch, block):
+    # The twin's lockstep step gathers its rows in blocks of steps. Blocks
+    # of one step, and of seven steps over 60 rows (a partial last block
+    # each epoch), train exactly as C does.
+    x, y, mask, orders = _layout("60x5x4", 5)
+    features, planes = mask.shape
+    monkeypatch.setattr(_hinge_sgd_py, "BLOCK_BYTES", block * 8 * (features + 1) * planes)
+    rng = np.random.default_rng(5)
+    _check_batch(backends, train_backends, x, y, mask, orders,
+                 np.where(mask, rng.normal(size=mask.shape), 0.0), -rng.random(mask.shape[1]))
 
 
 @pytest.mark.parametrize("layout", ["60x5x4", "full-width", "full-between-partials"])
@@ -272,6 +316,10 @@ def test_train_matches_chained_epochs(train_backends, layout):
 # Summed in feature order, 1 + 40 * (-2**-54) stays 1.0 (each tie rounds to
 # even); numpy's pairwise sum, like any blocked one, reaches 1 - 40 * 2**-54.
 TIES = [1.0] + [-(2.0**-54)] * 40
+# Likewise 2 + 40 * (-2**-53) stays 2.0, so with b = 1 subtracted last the
+# margin is exactly 1; with the bias term first, the sum starts at 1, where
+# those terms are exact, and ends below 1.
+BIAS_TIES = [2.0] + [-(2.0**-53)] * 40
 
 
 def _sequential_step(x, w, b, y, lam, t0):
@@ -288,41 +336,45 @@ def _sequential_step(x, w, b, y, lam, t0):
     return [factor * wk for wk in w], b
 
 
-@pytest.mark.parametrize("planes", [1, 2, 5])
+@pytest.mark.parametrize("planes", [1, 2, 3, 4, 5])
 def test_batch_dot_product_is_sequential(backends, train_backends, planes):
     # With w = 1 and y = +1 the margin summed in feature order is exactly 1,
     # so the step only shrinks w; summed pairwise it is below 1 and the step
     # is a hinge step. Every path is compared with a hand-written step: the
-    # one-plane epoch, planes on every column (the twin's list loop) and
-    # planes that leave out a 42nd column (C's column copy; on the twin, the
-    # lockstep step from two planes on and its one-plane guard below).
+    # one-plane epoch, planes on every column and planes that leave out a
+    # 42nd column (C's rows and its column copy; on the twin, the list loop
+    # for one plane and the lockstep step from two planes on), with b = 0
+    # and with the bias ties.
     assert float(np.sum(TIES)) != 1.0  # the input tells the two sums apart
+    assert reduce(operator.add, [-1.0] + BIAS_TIES) != 1.0  # and the bias's place
     for epoch in backends.values():
         w = np.ones(41)
         assert epoch(np.array([TIES]), np.ones(1), np.zeros(1, dtype=np.int64), w, 0.0, 1.0, 1.0, 0) == (0.0, 1)
         assert (w == 0.5).all()
     y = np.where(np.arange(planes) % 2 == 0, 1.0, -1.0)[:, None]
-    for row in (TIES, TIES + [3.0]):
-        x = np.array([row])
-        mask = np.ones((len(row), planes), dtype=bool)
-        mask[41:] = False
-        expected = [_sequential_step(TIES, [1.0] * 41, 0.0, float(y[p, 0]), 1.0, 1.0)
-                    for p in range(planes)]
-        for name, train in train_backends.items():
-            w, b = np.where(mask, 1.0, 0.0), np.zeros(planes)
-            orders = np.zeros((1, planes, 1), dtype=np.int64)
-            assert _train(train, x, y, orders, mask, w, b, 1.0, 1.0, 0)[0] == 1
-            for p, (w_p, b_p) in enumerate(expected):
-                assert w[:41, p].tobytes() == np.array(w_p).tobytes() and b[p] == b_p, (name, p)
-            assert w[41:].tobytes() == np.zeros(w[41:].shape).tobytes()
+    for ties, bias in ((TIES, 0.0), (BIAS_TIES, 1.0)):
+        for row in (ties, ties + [3.0]):
+            x = np.array([row])
+            mask = np.ones((len(row), planes), dtype=bool)
+            mask[41:] = False
+            expected = [_sequential_step(ties, [1.0] * 41, bias, float(y[p, 0]), 1.0, 1.0)
+                        for p in range(planes)]
+            for name, train in train_backends.items():
+                w, b = np.where(mask, 1.0, 0.0), np.full(planes, bias)
+                orders = np.zeros((1, planes, 1), dtype=np.int64)
+                assert _train(train, x, y, orders, mask, w, b, 1.0, 1.0, 0)[0] == 1
+                for p, (w_p, b_p) in enumerate(expected):
+                    assert w[:41, p].tobytes() == np.array(w_p).tobytes() and b[p] == b_p, (name, p)
+                assert w[41:].tobytes() == np.zeros(w[41:].shape).tobytes()
 
 
 def test_unselected_weights_stay_positive_zero(train_backends):
     # At step_offset 0 the first step has eta * lam = 1 up to rounding, so
     # its factor 1 - eta * lam is 0 or just above. The twin's lockstep step
-    # shrinks unselected weights too, so they must stay +0.0 byte for byte
-    # (a negative factor would turn them into -0.0), in w and in every
-    # epoch-end iterate, as in C, which leaves them alone.
+    # shrinks unselected weights too (and subtracts +0.0 from them), so they
+    # must stay +0.0 byte for byte (a negative factor would turn them into
+    # -0.0), in w and in every epoch-end iterate, as in C, which leaves them
+    # alone.
     for c, rows in ((1.0, 3), (1.0, 49), (0.3, 70), (7.0, 11), (1e-3, 997)):
         x, y, mask = _batch_problem(rows, rows, 6, 4)
         mask[5] = False
