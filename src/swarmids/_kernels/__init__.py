@@ -9,8 +9,8 @@ The compiled backend (``compiled``) is the plain C library built from
 --inplace`` or an install), bound with ``ctypes``, which releases the GIL
 for the call, so threads calling it train at once. When that file is
 absent the pure-Python twin (backend ``python``), which has identical
-numerics, is used: a list loop for one plane and, for two or more, one
-step of all planes at a time in seven small numpy calls; it holds the GIL.
+numerics, is used: one step of all planes at a time in six small numpy
+calls (a lone plane beside a copy of itself); it holds the GIL.
 A file there without the ``hinge_train`` symbol, such as a stale build,
 fails the import. ``hinge_epoch`` runs one epoch of one plane through a
 backend's ``hinge_train``.

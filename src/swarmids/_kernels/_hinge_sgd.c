@@ -11,11 +11,17 @@
 
 /* One plane's SGD steps over rows order[0..n) of the row-major x (row length
  * cols), updating w[0..d) and returning the new bias; the step counter runs
- * from t + 1 to t + n. The one place the operation order is written. */
+ * from t + 1 to t + n. The one place the operation order is written.
+ *
+ * restrict lets the compiler vectorize the weight update and keep values in
+ * registers; it changes no rounding (the update is element-wise, the dot
+ * product stays a sequential sum). It holds because w is the scratch wp and
+ * x is the caller's rows or the scratch xp, so no two pointers overlap: an
+ * edit that passes the caller's w here breaks it. */
 static double
-sgd_steps(const double *x, ptrdiff_t cols, const double *y, const long long *order,
-          ptrdiff_t n, double *w, ptrdiff_t d, double b, double lam, double t0,
-          long long t)
+sgd_steps(const double *restrict x, ptrdiff_t cols, const double *restrict y,
+          const long long *restrict order, ptrdiff_t n, double *restrict w, ptrdiff_t d,
+          double b, double lam, double t0, long long t)
 {
     for (ptrdiff_t pos = 0; pos < n; pos++) {
         const double *xi = x + order[pos] * cols;

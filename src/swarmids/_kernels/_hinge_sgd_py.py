@@ -5,8 +5,8 @@ Same operations in the same order as the C library ``_hinge_sgd.c``
 (CPython floats and numpy float64 arithmetic round like C doubles), so
 results are bit-identical to it, just slower. ``_check`` rejects wrong
 dtypes, dimensions and layouts, read-only outputs, mismatched shapes,
-out-of-range ``orders`` entries and nonzero weights outside the mask,
-before either backend writes anything.
+non-finite rows, out-of-range ``orders`` entries and nonzero weights
+outside the mask, before either backend writes anything.
 """
 
 import numpy as np
@@ -18,17 +18,19 @@ _ARGS = (
     ("w", np.float64, 2), ("b", np.float64, 1), ("w_epochs", np.float64, 3), ("b_epochs", np.float64, 2),
 )
 
-# Bytes of each of the lockstep step's two block buffers, below glibc's
+# Bytes of each of the lockstep step's three block buffers, below glibc's
 # default mmap threshold of 128 KiB.
-BLOCK_BYTES = 1 << 16
+BLOCK_BYTES = 120 << 10
 
 
 def _check(x, y, orders, mask, w, b, w_epochs, b_epochs):
     """Raise unless ``hinge_train``'s arguments suit both backends: each a
     C-contiguous array of its dtype and dimension, the outputs writable
-    (``ValueError``), shapes that agree (``ValueError``), ``orders``
-    entries in ``[0, rows)`` (``IndexError``) and zero weights outside the
-    mask (``ValueError``)."""
+    (``ValueError``), shapes that agree (``ValueError``), finite ``x``
+    (``ValueError``), ``orders`` entries in ``[0, rows)`` (``IndexError``)
+    and zero weights outside the mask (``ValueError``). ``x`` must be
+    finite because the twin multiplies unselected columns too (0 * inf is
+    NaN), which C never reads."""
     arrays = (x, y, orders, mask, w, b, w_epochs, b_epochs)
     for i, ((name, dtype, ndim), a) in enumerate(zip(_ARGS, arrays)):
         if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
@@ -51,61 +53,29 @@ def _check(x, y, orders, mask, w, b, w_epochs, b_epochs):
             f"w_epochs {w_epochs.shape} and b_epochs {b_epochs.shape} must be "
             f"({epochs}, {features}, {planes}) and ({epochs}, {planes})"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("x has a non-finite value")
     if orders.size and not (0 <= orders.min() and orders.max() < n):
         raise IndexError(f"orders has an entry outside [0, {n})")
     if w[~mask].any():
         raise ValueError("w has a nonzero weight outside the mask")
 
 
-def _sgd_steps(rows, order, ys, steps, factors, ws, b):
-    """One plane's SGD steps over ``rows[i]`` for each ``i`` in ``order``
-    (lists); step s has label ``ys[s]``, hinge step ``steps[s]`` (eta times
-    the label) and shrink factor ``factors[s]``. Updates the list ``ws`` and
-    returns the new bias. The twin of C's ``sgd_steps``."""
-    d = len(ws)
-    for i, yi, step, factor in zip(order, ys, steps, factors):
-        xi = rows[i]
-        acc = 0.0
-        for k in range(d):
-            acc += ws[k] * xi[k]
-        if yi * (acc - b) < 1.0:
-            for k in range(d):
-                ws[k] = factor * ws[k] + step * xi[k]
-            b = b - step
-        else:
-            for k in range(d):
-                ws[k] = factor * ws[k]
-    return b
-
-
-def _train_lists(x, y, orders, mask, w, b, w_epochs, b_epochs, eta, factor):
-    """The one plane, every epoch, through ``_sgd_steps`` on lists of its
-    selected columns."""
-    cols = np.flatnonzero(mask[:, 0])
-    rows, ws, bias = x[:, cols].tolist(), w[cols, 0].tolist(), float(b[0])
-    for e, order in enumerate(orders[:, 0]):
-        ys = y[0].take(order)
-        bias = _sgd_steps(rows, order.tolist(), ys.tolist(), (eta[e] * ys).tolist(),
-                          factor[e].tolist(), ws, bias)
-        w[cols, 0] = ws
-        w_epochs[e] = w
-        b_epochs[e] = bias
-    b[0] = bias
-
-
 def _train_lockstep(x, y, orders, mask, w, b, w_epochs, b_epochs, eta, factor):
-    """All planes take each step together, in seven numpy calls.
+    """All planes take each step together, in six numpy calls.
 
     The iterate is one (features + 1, planes) matrix: the weights, then the
     bias. Row r of ``xs`` is row r of ``x`` followed by -1, and row n + r
     is its negation, so each plane's row times its label is row r, or row
     n + r where the label is -1. A block of steps gathers those rows with
-    one ``take`` and copies them into one C-contiguous (features + 1,
-    planes) array per step. The margins y * (w . x - b) are then
-    ``np.add.reduce`` over axis 0 of the iterate times that array: numpy
-    sums pairwise only along the fast axis, so with two or more planes each
-    is summed in feature order with the bias term last, as in C (negating
-    every term of a sum negates it exactly). The unselected terms are zeros.
+    one ``take``, copies them into one C-contiguous (features + 1, planes)
+    array per step, and scales each by -eta into a third buffer. The
+    margins y * (w . x - b) are then ``np.add.reduce`` over axis 0 of the
+    iterate times that array: numpy sums pairwise only along the fast axis,
+    so with two or more planes each is summed in feature order with the
+    bias term last, as in C (negating every term of a sum negates it
+    exactly). A lone plane would be summed pairwise, so it steps beside a
+    copy of itself, which is dropped. The unselected terms are zeros.
 
     Every weight shrinks, with no mask: unselected ones are zeros and
     factor >= 0, so they keep their bits. The step then subtracts
@@ -116,42 +86,50 @@ def _train_lockstep(x, y, orders, mask, w, b, w_epochs, b_epochs, eta, factor):
     n, features = x.shape
     planes = len(b)
     wb = np.vstack((w, b))
+    if planes == 1:
+        y, orders, mask, wb = y.repeat(2, 0), orders.repeat(2, 1), mask.repeat(2, 1), wb.repeat(2, 1)
+    lanes = len(y)
     weights, terms = wb[:features], np.empty(wb.shape)
     bits = terms.view(np.int64)
     xs = np.empty((2 * n, features + 1))
     xs[:n, :features] = x
     xs[:n, features] = -1.0
     np.negative(xs[:n], out=xs[n:])
-    offsets = np.arange(planes)[:, None] * n
+    offsets, negative = np.arange(lanes)[:, None] * n, y < 0
     # A margin below the limit updates: 1 where selected, -inf (never) elsewhere.
-    limit = np.vstack((np.where(mask, 1.0, -np.inf), np.ones(planes)))
-    margin, update = np.empty(planes), np.empty(wb.shape, dtype=np.int64)
+    limit = np.vstack((np.where(mask, 1.0, -np.inf), np.ones(lanes)))
+    margin, update = np.empty(lanes), np.empty(wb.shape, dtype=np.int64)
     block = max(1, BLOCK_BYTES // max(8 * wb.size, 1))
-    gathered, blocked = np.empty(block * wb.size), np.empty(block * wb.size)
+    gathered = np.empty((block, lanes, features + 1))
+    step_rows, steps = np.empty((block,) + wb.shape), np.empty((block,) + wb.shape)
+    row_list, step_list = list(step_rows), list(steps.view(np.int64))
+    multiply, reduce, less, subtract = np.multiply, np.add.reduce, np.less, np.subtract
+    signed = np.empty(orders.shape[1:], dtype=np.int64)
     for e, order in enumerate(orders):
-        minus_eta, shrinks = (-eta[e]).tolist(), factor[e].tolist()
+        # Each step's row of xs: the label's flat index first, then r or n + r.
+        np.add(order, offsets, out=signed)
+        np.multiply(negative.take(signed), n, out=signed)
+        np.add(signed, order, out=signed)
+        minus_eta, shrinks = -eta[e, :, None, None], factor[e].tolist()
         for s in range(0, order.shape[1], block):
-            part = order[:, s:s + block]
+            part = signed[:, s:s + block]
             k = part.shape[1]
-            signed = part + n * (y.take(part + offsets) < 0)
-            rows = gathered[:k * wb.size].reshape(k, planes, features + 1)
             # Entries are range-checked, so "clip" never clips; it only
             # avoids the buffered copy that take's default "raise" mode makes.
-            xs.take(signed.T, axis=0, out=rows, mode="clip")
-            step_rows = blocked[:k * wb.size].reshape(k, features + 1, planes)
-            np.copyto(step_rows, rows.transpose(0, 2, 1))
-            for row, rate, shrink in zip(step_rows, minus_eta[s:s + block], shrinks[s:s + block]):
-                np.multiply(wb, row, out=terms)
-                np.add.reduce(terms, axis=0, out=margin)
-                np.less(margin, limit, out=update)
-                np.multiply(weights, shrink, out=weights)
-                np.multiply(row, rate, out=terms)
-                np.multiply(bits, update, out=bits)
-                np.subtract(wb, terms, out=wb)
-        w_epochs[e] = weights
-        b_epochs[e] = wb[features]
-    w[...] = weights
-    b[...] = wb[features]
+            xs.take(part.T, axis=0, out=gathered[:k], mode="clip")
+            np.copyto(step_rows[:k], gathered[:k].transpose(0, 2, 1))
+            multiply(step_rows[:k], minus_eta[s:s + k], steps[:k])
+            for row, step, shrink in zip(row_list[:k], step_list[:k], shrinks[s:s + k]):
+                multiply(wb, row, terms)
+                reduce(terms, 0, None, margin)
+                less(margin, limit, update)
+                multiply(weights, shrink, weights)
+                multiply(step, update, bits)
+                subtract(wb, terms, wb)
+        w_epochs[e] = weights[:, :planes]
+        b_epochs[e] = wb[features, :planes]
+    w[...] = weights[:, :planes]
+    b[...] = wb[features, :planes]
 
 
 def hinge_train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t):
@@ -166,10 +144,10 @@ def hinge_train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t):
     zero and are left alone. The iterate at the end of epoch e goes to
     ``w_epochs[e]`` (features, planes) and ``b_epochs[e]`` (planes,).
 
-    One plane trains through ``_sgd_steps`` on Python lists. Two or more
-    take each step together with numpy (``_train_lockstep``), which one
-    plane must never reach: numpy would sum its dot product pairwise. Bad
-    arguments raise (``_check``) before anything is written.
+    Every plane takes each step together with numpy (``_train_lockstep``);
+    one plane steps beside a copy of itself, so that numpy sums its dot
+    product in feature order. Bad arguments raise (``_check``) before
+    anything is written.
     """
     _check(x, y, orders, mask, w, b, w_epochs, b_epochs)
     epochs, planes, steps = orders.shape
@@ -177,7 +155,6 @@ def hinge_train(x, y, orders, mask, w, b, w_epochs, b_epochs, lam, t0, t):
     # every epoch, shared by all planes.
     eta = 1.0 / (lam * (t0 + np.arange(t + 1, t + 1 + epochs * steps).astype(np.float64)))
     factor = 1.0 - eta * lam
-    train = _train_lists if planes == 1 else _train_lockstep
-    train(x, y, orders, mask, w, b, w_epochs, b_epochs,
-          eta.reshape(epochs, steps), factor.reshape(epochs, steps))
+    _train_lockstep(x, y, orders, mask, w, b, w_epochs, b_epochs,
+                    eta.reshape(epochs, steps), factor.reshape(epochs, steps))
     return t + epochs * steps

@@ -210,7 +210,7 @@ LAYOUTS = {
     "full-width": ((50, 5, 4), np.ones((5, 4), dtype=bool)),
     "full-between-partials": ((50, 6, 3), FULL_BETWEEN_PARTIALS),
     # Planes that all select every column, like each fold's final model (5
-    # planes): the twin's lockstep step, from two planes on.
+    # planes).
     "full-width-2": ((40, 7, 2), np.ones((7, 2), dtype=bool)),
     "full-width-3": ((45, 9, 3), np.ones((9, 3), dtype=bool)),
     "final-model": ((80, 17, 5), np.ones((17, 5), dtype=bool)),
@@ -263,13 +263,14 @@ def test_batch_matches_per_plane(backends, train_backends, seed, layout):
     _check_batch(backends, train_backends, x, y, mask, orders, np.zeros(mask.shape), np.zeros(mask.shape[1]))
 
 
-@pytest.mark.parametrize("layout", ["60x5x4", "90x41x7", "full-width-3", "final-model"])
+@pytest.mark.parametrize("layout", ["60x5x4", "90x41x7", "one-plane", "full-width-3", "final-model"])
 def test_batch_from_nonzero_start(backends, train_backends, layout):
     # A batch may start from any iterate: nonzero weights over negative
     # features, negative biases and -0.0 weights. Plane 0's first weight
     # starts at -0.0 over a column of zeros signed against its labels, so
     # that every step adds -0.0 to it and C keeps it at -0.0 to the end;
-    # unselected weights start at -0.0 and C never touches them.
+    # unselected weights start at -0.0 and C never touches them. On the
+    # twin, "one-plane" carries both through the plane's copy.
     x, y, mask, orders = _layout(layout, 4)
     rng = np.random.default_rng(4)
     x[:, 0] = np.where(y[0] > 0, -0.0, 0.0)
@@ -297,7 +298,7 @@ def test_lockstep_blocks(backends, train_backends, monkeypatch, block):
 def test_train_matches_chained_epochs(train_backends, layout):
     # One call over three epochs equals three chained one-epoch calls, bit
     # for bit: every epoch-end iterate, the final w and b, and the step
-    # counter, on every backend and both of the twin's paths.
+    # counter, on every backend.
     x, y, mask, orders = _layout(layout, 3)
     lam, t0 = 1.0 / len(x), 7.0
     for name, train in train_backends.items():
@@ -342,9 +343,8 @@ def test_batch_dot_product_is_sequential(backends, train_backends, planes):
     # so the step only shrinks w; summed pairwise it is below 1 and the step
     # is a hinge step. Every path is compared with a hand-written step: the
     # one-plane epoch, planes on every column and planes that leave out a
-    # 42nd column (C's rows and its column copy; on the twin, the list loop
-    # for one plane and the lockstep step from two planes on), with b = 0
-    # and with the bias ties.
+    # 42nd column (C's rows and its column copy; on the twin, one plane
+    # steps beside a copy of itself), with b = 0 and with the bias ties.
     assert float(np.sum(TIES)) != 1.0  # the input tells the two sums apart
     assert reduce(operator.add, [-1.0] + BIAS_TIES) != 1.0  # and the bias's place
     for epoch in backends.values():
@@ -413,7 +413,7 @@ def test_weight_bytes_pinned(train_backends):
 
 def _batch_args(rows=4, features=3, planes=2):
     x, y, mask = _batch_problem(0, rows, features, planes)
-    mask[2] = False
+    mask[-1] = False
     return {"x": x, "y": y, "orders": np.tile(np.arange(rows), (1, planes, 1)),
             "mask": mask, "w": np.zeros((features, planes)), "b": np.zeros(planes),
             "w_epochs": np.zeros((1, features, planes)), "b_epochs": np.zeros((1, planes))}
@@ -454,6 +454,21 @@ def test_batch_shape_mismatch_raises(train_backends, bad):
         a = _batch_args()
         a.update({k: v.copy() for k, v in bad.items()})
         with pytest.raises(ValueError):
+            _call_batch(train, a)
+        assert _untouched(a)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_rows_raise(train_backends, value):
+    # C reads only the selected columns, while the twin multiplies every
+    # column, where 0 * inf is NaN and the step never updates; so on these
+    # rows, the second column unselected, the two would train different
+    # weights. Both refuse a non-finite row instead, before any update.
+    for train in train_backends.values():
+        a = _batch_args(rows=3, features=2)
+        a["x"] = np.array([[1.0, value], [2.0, 0.5], [-1.0, 1.0]])
+        assert not a["mask"][1].any()
+        with pytest.raises(ValueError, match="non-finite"):
             _call_batch(train, a)
         assert _untouched(a)
 
