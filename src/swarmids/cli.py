@@ -25,7 +25,7 @@ from typing import Callable, Iterable, TextIO
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
+from ._kernels import BACKEND, BUILD_ERROR
 from .classifier import SvmConfig
 from .dataset import (
     CLASS_NAMES,
@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         if BACKEND == "python" and args.command != "prepare":
             print(
                 "note: SGD kernel backend 'python' (the pure-Python twin, much slower); "
-                'build the compiled kernel as README "Install" says',
+                f"the compiled kernel was not built: {BUILD_ERROR}",
                 file=sys.stderr,
             )
         return _COMMANDS[args.command](config)

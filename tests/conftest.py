@@ -1,27 +1,25 @@
 import os
 import shutil
-import subprocess
-import sys
 import sysconfig
 from pathlib import Path
 
 import pytest
 
-from swarmids._kernels import _LIBRARY, load_compiled
+from swarmids import _kernels as kernels
 from swarmids.dataset import apply_normalize, encode, fit_encoding, fit_normalize, parse_kdd
 
 from _synth import make_kdd_csv
 
 
-REPO = Path(__file__).resolve().parent.parent
+# The compiler the suite builds the kernel with: the environment's CC, so
+# that CI can test each compiler, else the one the package itself uses.
+COMPILER = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "").split()
 
 
 def _missing_toolchain():
-    """The C compiler, if building the kernel library needs it and this
-    machine lacks it, or None."""
-    cc = (sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        return f"C compiler {' '.join(cc)!r} not found"
+    """Why the suite cannot build the kernel library, or None."""
+    if not COMPILER or shutil.which(COMPILER[0]) is None:
+        return f"C compiler {' '.join(COMPILER)!r} not found"
     return None
 
 
@@ -30,32 +28,22 @@ MISSING_TOOLCHAIN = _missing_toolchain()
 
 @pytest.fixture(scope="session")
 def build(tmp_path_factory):
-    """Run ``setup.py build_ext`` into a temp dir and bind the library it
-    built with the package's own ``_kernels.load_compiled``.
+    """Build the kernel library with the package's own ``_kernels.build``
+    into a temp dir and bind it with ``_kernels.load_compiled``.
 
-    The build adds ``-Wall -Werror``, so a compiler warning (an unused
-    function or variable) fails it. Returns ``(hinge_train or None, build
-    output, library path or None)``; a failed build is reported by
-    ``test_kernels.py::test_compiled_backend_built``.
+    The build adds ``-Wall -Werror`` to the package's flags, so a compiler
+    warning (an unused function or variable) fails it. Returns
+    ``(hinge_train or None, build error, library path or None)``; a failed
+    build is reported by ``test_kernels.py::test_compiled_backend_built``.
     """
     if MISSING_TOOLCHAIN:
         return None, MISSING_TOOLCHAIN, None
-    tmp = tmp_path_factory.mktemp("build_ext")
-    env = {k: v for k, v in os.environ.items() if k != "SWARMIDS_SKIP_EXT"}
-    env["CFLAGS"] = f"{env.get('CFLAGS', '')} -Wall -Werror".strip()
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
-        cwd=REPO, env=env, capture_output=True, text=True,
-    )
-    log = proc.stdout + proc.stderr
-    path = tmp / "lib" / "swarmids" / "_kernels" / _LIBRARY.name  # where the package looks
-    if proc.returncode != 0 or not path.is_file():
-        return None, log, None
     try:
-        return load_compiled(path), log, path
-    except ImportError as exc:
-        return None, f"{log}\n{exc!r}", None
+        path = kernels.build(tmp_path_factory.mktemp("kernel"), compiler=COMPILER,
+                             flags=kernels.FLAGS + ("-Wall", "-Werror"))
+        return kernels.load_compiled(path), None, path
+    except (kernels.BuildError, ImportError) as exc:
+        return None, str(exc), None
 
 
 def nsl_kdd_train_path() -> Path | None:

@@ -479,13 +479,14 @@ class TestBackendNotice:
     def test_twin_backend_named_on_stderr(self, monkeypatch, tmp_path, run_cli, capsys,
                                           backend, shown):
         monkeypatch.setattr("swarmids.cli.BACKEND", backend)
+        monkeypatch.setattr("swarmids.cli.BUILD_ERROR", "C compiler 'gcc' exited with status 1")
         assert run_cli(["select", "--out", str(tmp_path / "empty")]) == 2
         notes = [l for l in capsys.readouterr().err.splitlines() if l.startswith("note:")]
         if shown:
             assert len(notes) == 1
             assert notes[0] == (
                 "note: SGD kernel backend 'python' (the pure-Python twin, much slower); "
-                'build the compiled kernel as README "Install" says'
+                "the compiled kernel was not built: C compiler 'gcc' exited with status 1"
             )
         else:
             assert notes == []

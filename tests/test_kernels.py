@@ -3,16 +3,18 @@ pinned weight bytes, and bit-identical results between the compiled library
 and the pure-Python twin, for ``hinge_train`` (each backend's one SGD
 function) and ``hinge_epoch`` (one epoch of one plane through it).
 
-The compiled backend under test is the ``build`` fixture's: the repository's
-own ``setup.py`` built into a temporary directory and bound by the package's
-own ``load_compiled``, so the suite checks what an install builds and loads,
-without a prior build step and without writing into ``src/``.
+The compiled backend under test is the ``build`` fixture's: the package's
+own ``_kernels.build`` run into a temporary directory and bound by its own
+``load_compiled``, so the suite checks what an import builds and loads,
+whichever backend the import itself chose. Also the build: its cache key,
+its fallback to the twin, and builds racing on one directory.
 """
 
 import hashlib
 import io
 import operator
-import sysconfig
+import sys
+import threading
 import warnings
 from functools import partial, reduce
 from pathlib import Path
@@ -20,10 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmids import classifier
-from swarmids._kernels import (
-    _LIBRARY, _hinge_sgd_py, available_backends, hinge_epoch, load_compiled,
-)
+from swarmids import _kernels, classifier
+from swarmids._kernels import _hinge_sgd_py, available_backends, hinge_epoch, load_compiled
 from swarmids.dataset import Dataset, parse_kdd
 from swarmids.errors import DataWarning
 from swarmids.evaluation import cross_validate, report_to_json
@@ -31,7 +31,7 @@ from swarmids.optimizer import GoaConfig
 from swarmids.selection import WrapperObjective
 
 from _synth import make_kdd_csv
-from conftest import MISSING_TOOLCHAIN
+from conftest import COMPILER, MISSING_TOOLCHAIN
 
 
 @pytest.fixture(scope="module")
@@ -66,22 +66,85 @@ def test_python_backend_always_present(backends):
 
 @pytest.mark.skipif(MISSING_TOOLCHAIN is not None, reason=f"cannot build the kernel library: {MISSING_TOOLCHAIN}")
 def test_compiled_backend_built(backends, build):
-    assert "compiled" in backends, f"setup.py build_ext failed to build the kernel library:\n{build[1]}"
+    assert "compiled" in backends, f"the kernel library failed to build: {build[1]}"
 
 
 def test_library_without_symbol_fails_to_load():
-    # A shared library that lacks hinge_train, like a stale in-place build
-    # at the kernel's path, fails the import and says how to rebuild.
+    # A shared library that lacks hinge_train, at the kernel's cache path,
+    # fails the import and names the file.
     path = next(Path(np.__file__).parent.glob("*/_multiarray_umath.*"))
     with pytest.raises(ImportError) as info:
         load_compiled(path)
-    assert str(path) in str(info.value) and "python setup.py build_ext --inplace" in str(info.value)
+    assert str(info.value) == f"{path} is not a hinge_train library"
 
 
-def test_library_name_is_the_build_name():
-    # The package names the library by the import system's first extension
-    # suffix; setup.py's build names it by sysconfig's EXT_SUFFIX.
-    assert _LIBRARY.name == "_hinge_sgd" + sysconfig.get_config_var("EXT_SUFFIX")
+# A compiler that writes part of its output and two lines of diagnostics,
+# then exits 1.
+FAILING_COMPILER = [sys.executable, "-c", "import sys; "
+                    "open(sys.argv[sys.argv.index('-o') + 1], 'wb').write(b'partial'); "
+                    "sys.exit('k.c: In function f:\\nk.c:3:1: error: expected ;')"]
+
+
+def test_failed_build_falls_back_to_the_twin(tmp_path):
+    # The twin runs, the reason gives the compiler's first error line, and
+    # no file is left: neither the temp file nor a partial library that a
+    # later import would find.
+    train, backend, error = _kernels.choose_backend(tmp_path / "cache", compiler=FAILING_COMPILER)
+    assert (train, backend) == (_hinge_sgd_py.hinge_train, "python")
+    assert error == f"C compiler {sys.executable!r} exited with status 1: k.c:3:1: error: expected ;"
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_unrunnable_compiler_and_unwritable_cache_fall_back(tmp_path):
+    _, backend, error = _kernels.choose_backend(tmp_path, compiler=[str(tmp_path / "no-cc")])
+    assert backend == "python" and error.startswith(f"cannot run C compiler {str(tmp_path / 'no-cc')!r}: ")
+    _, backend, error = _kernels.choose_backend(tmp_path / "a" / "b", compiler=FAILING_COMPILER)
+    assert backend == "python" and error.startswith(f"cannot write to cache directory {tmp_path / 'a' / 'b'}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(MISSING_TOOLCHAIN is not None, reason=f"cannot build the kernel library: {MISSING_TOOLCHAIN}")
+def test_edited_source_gets_its_own_library(tmp_path):
+    # The library's name carries a key over the source and the flags, so
+    # an edit builds a new file and never loads the old one; an unchanged
+    # source and flags find the file they built.
+    source = tmp_path / "_hinge_sgd.c"
+    source.write_bytes(_kernels.SOURCE.read_bytes())
+    first = _kernels.build(tmp_path, source, COMPILER)
+    assert first.name.startswith("_hinge_sgd-") and first.parent == tmp_path
+    assert _kernels.build(tmp_path, source, FAILING_COMPILER) == first
+    with pytest.raises(_kernels.BuildError):  # other flags: another library, built anew
+        _kernels.build(tmp_path, source, FAILING_COMPILER, _kernels.FLAGS + ("-g",))
+    source.write_bytes(source.read_bytes() + b"/* edited */\n")
+    second = _kernels.build(tmp_path, source, COMPILER)
+    assert second != first
+    assert sorted(tmp_path.iterdir()) == sorted([source, first, second])
+    assert all(callable(load_compiled(path)) for path in (first, second))
+
+
+@pytest.mark.skipif(MISSING_TOOLCHAIN is not None, reason=f"cannot build the kernel library: {MISSING_TOOLCHAIN}")
+def test_racing_builds_both_load(tmp_path):
+    # Two builds of one library into one directory at once each compile to
+    # their own temp file and rename it into place, so both load a whole
+    # library and no temp file is left.
+    barrier = threading.Barrier(2, timeout=60)
+    paths = []
+
+    def race():
+        barrier.wait()
+        paths.append(_kernels.build(tmp_path, compiler=COMPILER))
+
+    threads = [threading.Thread(target=race) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads) and len(paths) == 2
+    assert paths[0] == paths[1] and list(tmp_path.iterdir()) == [paths[0]]
+    for path in paths:  # test_single_step_hand_arithmetic's step
+        w = np.zeros(1)
+        assert hinge_epoch(np.array([[2.0]]), np.ones(1), np.zeros(1, dtype=np.int64), w, 0.0, 0.5, 0.0, 0,
+                           train=load_compiled(path)) == (-2.0, 1) and w[0] == 4.0
 
 
 def test_single_step_hand_arithmetic(backends):
