@@ -84,6 +84,7 @@ def build(directory, source=SOURCE, compiler=None, flags=FLAGS):
             first = next((line for line in lines if "error" in line), lines[0] if lines else None)
             raise BuildError(f"C compiler {compiler[0]!r} exited with status {done.returncode}"
                              + (f": {first.strip()}" if first else ""))
+        os.chmod(temp, 0o755)  # mkstemp's 0600 would keep other users from loading it
         os.replace(temp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):

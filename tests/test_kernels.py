@@ -112,6 +112,7 @@ def test_edited_source_gets_its_own_library(tmp_path):
     source.write_bytes(_kernels.SOURCE.read_bytes())
     first = _kernels.build(tmp_path, source, COMPILER)
     assert first.name.startswith("_hinge_sgd-") and first.parent == tmp_path
+    assert first.stat().st_mode & 0o777 == 0o755  # every user of an install can load it
     assert _kernels.build(tmp_path, source, FAILING_COMPILER) == first
     with pytest.raises(_kernels.BuildError):  # other flags: another library, built anew
         _kernels.build(tmp_path, source, FAILING_COMPILER, _kernels.FLAGS + ("-g",))
